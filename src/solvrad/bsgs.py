@@ -11,7 +11,7 @@ object is identical across runs.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
     DegreeMismatchError,
@@ -314,25 +314,35 @@ def normal_closure(group: Bsgs, seeds) -> Bsgs:
     return Bsgs._wrap(group.degree, chain, closure_gens)
 
 
-def centralizer(group: Bsgs, x: Permutation) -> Bsgs:
+def centralizer(
+    group: Bsgs, x: Permutation, cls: Optional[ConjugacyClass] = None
+) -> Bsgs:
     """Centralizer of x, via the conjugation orbit of x with Schreier
-    generators; stops once the orbit-stabilizer bound |G|/|orbit| is hit."""
+    generators; stops once the orbit-stabilizer bound |G|/|orbit| is hit.
+
+    When x is the representative of `cls`, a class of `group`, the class's
+    stored transversal is the orbit and it is not walked again.
+    """
     if not group.contains(x):
         raise MembershipError(f"{x!r} is not a member of the group")
     xr = x._img
-    orbit, transversal = _conjugation_orbit(group, xr)
+    if cls is not None and cls._elements_raw[0] == xr:
+        orbit, transversal = cls._elements_raw, cls._conjugators
+    else:
+        transversal = _conjugation_orbit(group, xr)
+        orbit = sorted(transversal)
     target, rem = divmod(group.order, len(orbit))
     assert rem == 0, "orbit size must divide the group order"
 
     chain = _Chain(group.degree, ())
     gens = group._gens_raw
+    gens_inv = [_inv(s) for s in gens]
     ident = _identity(group.degree)
     done = False
-    for y in sorted(orbit):
+    for y in orbit:
         u = transversal[y]
-        u_inv = _inv(u)
-        for s in gens:
-            z = _mul(s, _mul(y, _inv(s)))
+        for s, si in zip(gens, gens_inv):
+            z = _mul(s, _mul(y, si))
             w_inv = _inv(transversal[z])
             cand = _mul(w_inv, _mul(s, u))
             if cand != ident and not chain.contains(cand):
@@ -346,26 +356,25 @@ def centralizer(group: Bsgs, x: Permutation) -> Bsgs:
     return Bsgs._wrap(group.degree, chain, chain.strong_generators())
 
 
-def _conjugation_orbit(
-    group: Bsgs, x: tuple
-) -> tuple[dict[tuple, None], dict[tuple, tuple]]:
-    """Orbit of x under conjugation by the group, with a transversal:
-    transversal[y] = u such that u x u^-1 = y."""
+def _conjugation_orbit(group: Bsgs, x: tuple) -> dict[tuple, tuple]:
+    """Orbit of x under conjugation by the group, as a transversal keyed by
+    the orbit: transversal[y] = u such that u x u^-1 = y."""
     ident = _identity(group.degree)
     gens = group._gens_raw
+    gens_inv = [_inv(s) for s in gens]
     transversal = {x: ident}
     frontier = [x]
     while frontier:
         nxt = []
         for y in frontier:
             u = transversal[y]
-            for s in gens:
-                z = _mul(s, _mul(y, _inv(s)))
+            for s, si in zip(gens, gens_inv):
+                z = _mul(s, _mul(y, si))
                 if z not in transversal:
                     transversal[z] = _mul(s, u)
                     nxt.append(z)
         frontier = nxt
-    return dict.fromkeys(transversal), transversal
+    return transversal
 
 
 class ConjugacyClass:
@@ -433,8 +442,8 @@ def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
 
 
 def _class_of_raw(group: Bsgs, g: tuple) -> ConjugacyClass:
-    orbit, transversal = _conjugation_orbit(group, g)
-    elements = sorted(orbit)
+    transversal = _conjugation_orbit(group, g)
+    elements = sorted(transversal)
     rep = elements[0]
     if rep != g:
         # re-root the transversal at the canonical representative

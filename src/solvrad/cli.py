@@ -123,10 +123,35 @@ def _group_info(spec: str, group: Bsgs) -> dict:
     return {"spec_text": spec, "degree": group.degree, "order": group.order}
 
 
-def cmd_info(spec: str, element_cap: int) -> tuple[int, VerificationReport]:
-    t0 = time.perf_counter()
+def _require_positive(name: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _group_and_classes(
+    spec: str, element_cap: int, memo: Optional[dict] = None
+) -> tuple[Bsgs, list]:
+    """The group of `spec` and its conjugacy classes.  With a memo, a pair
+    that an earlier successful build stored under (spec, element_cap) is
+    reused instead of being built again."""
+    if not isinstance(spec, str):
+        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
+    key = (spec, element_cap)
+    if memo is not None and key in memo:
+        return memo[key]
     group = build_bsgs(construct(spec))
-    classes = conjugacy_classes(group, element_cap)
+    built = group, conjugacy_classes(group, element_cap)
+    if memo is not None:
+        memo[key] = built
+    return built
+
+
+def cmd_info(
+    spec: str, element_cap: int, memo: Optional[dict] = None
+) -> tuple[int, VerificationReport]:
+    _require_positive("element_cap", element_cap)
+    t0 = time.perf_counter()
+    group, classes = _group_and_classes(spec, element_cap, memo)
     profiles = prime_order_elements(classes)
     report = VerificationReport(
         tool_version=__version__,
@@ -162,15 +187,21 @@ def cmd_verify(
     budget: Optional[int] = None,
     seed: int = 0,
     element_cap: int = DEFAULT_ELEMENT_CAP,
+    memo: Optional[dict] = None,
 ) -> tuple[int, VerificationReport]:
+    if mode not in (EXHAUSTIVE, RANDOMIZED):
+        raise ValueError(
+            f"unknown search mode {mode!r}; use {EXHAUSTIVE!r} or {RANDOMIZED!r}"
+        )
+    _require_positive("budget", budget)
+    _require_positive("element_cap", element_cap)
     if budget is None:
         budget = (
             DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
         )
     t0 = time.perf_counter()
-    group = build_bsgs(construct(spec))
+    group, classes = _group_and_classes(spec, element_cap, memo)
     _progress(f"verify {theorem} {spec}: order {group.order}")
-    classes = conjugacy_classes(group, element_cap)
 
     per_element: list = []
     details: dict = {}
@@ -266,7 +297,7 @@ def cmd_verify(
             "witness": _witness_dict(pv.witness),
         }
     elif theorem == "thompson":
-        tv = thompson_test(group, element_cap)
+        tv = thompson_test(group, element_cap, classes)
         solvable = is_solvable(group)
         comparison = {
             "oracle_order": (
@@ -341,6 +372,7 @@ def cmd_suite(
     seed: Optional[int] = None,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[int, VerificationReport]:
+    _require_positive("element_cap", element_cap)
     t0 = time.perf_counter()
     try:
         with open(config_path) as f:
@@ -353,13 +385,14 @@ def cmd_suite(
 
     sub_reports = []
     worst = EXIT_OK
+    built: dict = {}  # (spec, element_cap) -> (group, classes), this call only
     for entry in entries:
         command = entry.get("command")
         spec = entry.get("spec")
         flags = dict(entry.get("flags", {}))
         if seed is not None:
             flags["seed"] = seed
-        code, rep = _run_entry(command, spec, flags, element_cap)
+        code, rep = _run_entry(command, spec, flags, element_cap, built)
         sub_reports.append({"exit_code": code, "report": asdict(rep)})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
@@ -382,18 +415,20 @@ def cmd_suite(
     return worst, report
 
 
-def _run_entry(command, spec, flags, element_cap) -> tuple[int, VerificationReport]:
+def _run_entry(
+    command, spec, flags, element_cap, memo
+) -> tuple[int, VerificationReport]:
     mode = RANDOMIZED if flags.get("randomized") else flags.get("mode", EXHAUSTIVE)
     budget = int(flags["budget"]) if "budget" in flags else None
     seed = int(flags.get("seed", 0))
     cap = int(flags.get("element_cap", element_cap))
     try:
         if command == "info":
-            return cmd_info(spec, cap)
+            return cmd_info(spec, cap, memo)
         if command == "sharpness":
             return cmd_sharpness(int(flags["n"]))
         if command in ("bs", "four", "two", "pairs", "thompson"):
-            return cmd_verify(command, spec, mode, budget, seed, cap)
+            return cmd_verify(command, spec, mode, budget, seed, cap, memo)
         raise GroupSpecError(f"unknown suite command {command!r}")
     except (BudgetExceededError, CapExceededError) as e:
         return EXIT_BUDGET, _error_report(command or "?", spec, str(e))

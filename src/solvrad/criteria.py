@@ -26,6 +26,7 @@ from .bsgs import (
     CapExceededError,
     ConjugacyClass,
     GeneratorSet,
+    MembershipError,
     centralizer,
     class_of,
     conjugacy_classes,
@@ -76,7 +77,6 @@ class CriterionVerdict:
 class ElementProfile:
     element: Permutation
     order: int
-    prime_order_gt3: bool
 
 
 @dataclass
@@ -112,7 +112,7 @@ def _span(degree: int, raws) -> Bsgs:
 
 def _require_member(group: Bsgs, g: Permutation) -> None:
     if not group.contains(g):
-        raise ValueError(f"{g!r} is not a member of the group")
+        raise MembershipError(f"{g!r} is not a member of the group")
 
 
 def _require_prime_order_gt3(g: Permutation) -> int:
@@ -216,7 +216,7 @@ def two_conjugate_test(
         )
 
     cls = class_of_g if class_of_g is not None else class_of(group, g)
-    cz = cent if cent is not None else centralizer(group, g)
+    cz = cent if cent is not None else centralizer(group, g, cls)
     reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
     g_raw = g._img
     for h in reps:
@@ -285,7 +285,7 @@ def baer_suzuki_set(group: Bsgs, classes: list[ConjugacyClass]) -> RadicalResult
                 CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
             )
             continue
-        cz = centralizer(group, rep)
+        cz = centralizer(group, rep, cls)
         reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
         witness = None
         for h in reps:
@@ -344,7 +344,7 @@ def four_conjugate_element_test(
             f"class size {len(raw)}: {len(raw) ** 3} raw triples exceed the "
             f"tuple budget {tuple_budget}"
         )
-    cz = cent if cent is not None else centralizer(group, g)
+    cz = cent if cent is not None else centralizer(group, g, cls)
     h1_reps = _orbit_partition_reps(raw, cz._gens_raw)
     total = len(h1_reps) * len(raw) * len(raw)
     g_raw = g._img
@@ -452,7 +452,7 @@ def class_pair_solvability(
     for cls in classes:
         rep = cls.representative
         rep_raw = rep._img
-        cz = centralizer(group, rep)
+        cz = centralizer(group, rep, cls)
         for h in _orbit_partition_reps(cls._elements_raw, cz._gens_raw):
             checked += 1
             sub = _span(group.degree, [rep_raw, h])
@@ -472,15 +472,21 @@ def class_pair_solvability(
     )
 
 
-def thompson_test(group: Bsgs, element_cap: int) -> ThompsonVerdict:
+def thompson_test(
+    group: Bsgs,
+    element_cap: int,
+    classes: Optional[list[ConjugacyClass]] = None,
+) -> ThompsonVerdict:
     """Is every two-generated subgroup solvable?  Pairs are reduced up to
     simultaneous conjugacy by taking the first element to be a class
-    representative; the second ranges over the whole group."""
+    representative; the second ranges over the whole group.  `classes`,
+    when given, must be the group's conjugacy classes."""
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}"
         )
-    classes = conjugacy_classes(group, element_cap)
+    if classes is None:
+        classes = conjugacy_classes(group, element_cap)
     elements = sorted(
         e for cls in classes for e in cls._elements_raw
     )
@@ -545,5 +551,5 @@ def prime_order_elements(classes: list[ConjugacyClass]) -> list[ElementProfile]:
         rep = cls.representative
         n = rep.order()
         if is_prime(n) and n > 3:
-            out.append(ElementProfile(rep, n, True))
+            out.append(ElementProfile(rep, n))
     return out

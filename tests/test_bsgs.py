@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from solvrad.bsgs import (
@@ -151,6 +153,48 @@ class TestCentralizer:
     def test_non_member_rejected(self, group_of):
         with pytest.raises(MembershipError):
             centralizer(group_of("A(5)"), parse_cycles("(1,2)", 5))
+
+
+def _check_centralizer_from_class(g):
+    """centralizer(g, rep, cls) is the subgroup centralizer(g, rep) computes
+    from a fresh conjugation orbit, and both equal the brute-force
+    centralizer, for every class of g."""
+    elements = brute_elements(g)
+    for cls in conjugacy_classes(g):
+        rep = cls.representative
+        from_class = centralizer(g, rep, cls)
+        assert same_subgroup(from_class, centralizer(g, rep))
+        brute = bf.centralizer_set(elements, rep.images)
+        assert {p.images for p in enumerate_elements(from_class)} == brute
+
+
+class TestCentralizerFromClass:
+    @pytest.mark.parametrize(
+        "spec", ["S(4)", "A(5)", "D(6)", "direct(C(4),S(3))", "PSL2(7)"]
+    )
+    def test_named_groups(self, spec, group_of):
+        _check_centralizer_from_class(group_of(spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.permutations(list(range(1, n + 1))).map(Permutation),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_random_groups(self, gens):
+        _check_centralizer_from_class(build_bsgs(GeneratorSet(gens[0].degree, gens)))
+
+    def test_class_of_another_element_is_ignored(self, group_of, classes_of):
+        # x is not the class's representative: the orbit of x is walked
+        g = group_of("S(4)")
+        cls = next(c for c in classes_of("S(4)") if c.class_size == 6)
+        x = cls.elements[-1]
+        assert x != cls.representative
+        assert same_subgroup(centralizer(g, x, cls), centralizer(g, x))
 
 
 class TestConjugacyClasses:

@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import solvrad
+import solvrad.cli
+import solvrad.criteria
 from solvrad.bsgs import GeneratorSet, build_bsgs
 from solvrad.cli import (
     EXIT_BUDGET,
@@ -56,6 +60,12 @@ class TestInfo:
 
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["info", "S(5)", "--element-cap", "10"]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_element_cap_is_usage_error(self, capsys, cap):
+        code, rep = run(capsys, "info", "S(5)", "--element-cap", cap)
+        assert code == EXIT_USAGE
+        assert "element_cap must be >= 1" in rep["details"]["error"]
 
 
 class TestVerify:
@@ -116,6 +126,18 @@ class TestVerify:
 
     def test_unknown_theorem_is_usage_error(self, capsys):
         assert main(["verify", "nope", "S(4)"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("mode", [[], ["--randomized"]])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_is_usage_error(self, capsys, mode, budget):
+        code, rep = run(capsys, "verify", "two", "A(5)", *mode, "--budget", budget)
+        assert code == EXIT_USAGE
+        assert "budget must be >= 1" in rep["details"]["error"]
+
+    def test_negative_element_cap_is_usage_error(self, capsys):
+        code, rep = run(capsys, "verify", "bs", "S(4)", "--element-cap", "-1")
+        assert code == EXIT_USAGE
+        assert "element_cap must be >= 1" in rep["details"]["error"]
 
 
 class TestSharpness:
@@ -194,6 +216,91 @@ class TestSuite:
 
     def test_missing_config(self, capsys):
         assert main(["suite", "no-such-config.json"]) == EXIT_USAGE
+
+    def suite(self, capsys, tmp_path, entries, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"entries": entries}))
+        return run(capsys, "suite", str(cfg), *argv)
+
+    def test_unknown_mode_is_usage_error(self, capsys, tmp_path):
+        code, rep = self.suite(capsys, tmp_path, [
+            {"command": "two", "spec": "A(5)", "flags": {"mode": "bogus"}},
+        ])
+        assert code == EXIT_USAGE
+        entry = rep["details"]["entries"][0]
+        assert entry["exit_code"] == EXIT_USAGE
+        assert "unknown search mode 'bogus'" in entry["report"]["details"]["error"]
+
+    def test_negative_budget_is_usage_error(self, capsys, tmp_path):
+        code, rep = self.suite(capsys, tmp_path, [
+            {"command": "two", "spec": "A(5)",
+             "flags": {"randomized": True, "budget": -3}},
+        ])
+        assert code == EXIT_USAGE
+        entry = rep["details"]["entries"][0]
+        assert entry["exit_code"] == EXIT_USAGE
+        assert entry["report"]["per_element_results"] == []
+        assert "budget must be >= 1" in entry["report"]["details"]["error"]
+
+    def test_non_positive_entry_element_cap_is_usage_error(self, capsys, tmp_path):
+        code, rep = self.suite(capsys, tmp_path, [
+            {"command": "info", "spec": "S(4)", "flags": {"element_cap": 0}},
+        ])
+        assert code == EXIT_USAGE
+        assert rep["details"]["entries"][0]["exit_code"] == EXIT_USAGE
+
+    def test_negative_suite_element_cap_is_usage_error(self, capsys, tmp_path):
+        code, _ = self.suite(
+            capsys, tmp_path, [{"command": "info", "spec": "S(4)"}],
+            "--element-cap", "-1",
+        )
+        assert code == EXIT_USAGE
+
+    def test_non_string_spec_is_usage_error(self, capsys, tmp_path):
+        code, rep = self.suite(capsys, tmp_path, [
+            {"command": "info", "spec": ["S(4)"]},
+        ])
+        assert code == EXIT_USAGE
+        assert rep["details"]["entries"][0]["exit_code"] == EXIT_USAGE
+
+    def test_entries_sharing_a_spec_match_their_solo_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        builds = []
+        real = solvrad.cli.conjugacy_classes
+
+        def counted(group, element_cap):
+            builds.append(element_cap)
+            return real(group, element_cap)
+
+        monkeypatch.setattr(solvrad.cli, "conjugacy_classes", counted)
+        monkeypatch.setattr(solvrad.criteria, "conjugacy_classes", counted)
+        entries = [
+            {"command": "info", "spec": "S(5)"},
+            {"command": "info", "spec": "S(5)", "flags": {"element_cap": 10}},
+            {"command": "bs", "spec": "S(5)"},
+            {"command": "two", "spec": "S(5)"},
+            {"command": "pairs", "spec": "S(5)"},
+            {"command": "thompson", "spec": "S(5)"},
+        ]
+        code, rep = self.suite(capsys, tmp_path, entries)
+        assert code == EXIT_BUDGET
+        # one successful build shared by five entries; the capped one fails
+        assert builds == [200_000, 10]
+        got = rep["details"]["entries"]
+        assert [e["exit_code"] for e in got] == [
+            EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+        ]
+        for entry, sub in zip(entries, got):
+            argv = ["info"] if entry["command"] == "info" else [
+                "verify", entry["command"],
+            ]
+            argv.append(entry["spec"])
+            if "flags" in entry:
+                argv += ["--element-cap", str(entry["flags"]["element_cap"])]
+            solo_code, solo = run(capsys, *argv)
+            assert solo_code == sub["exit_code"]
+            assert strip_timing(sub["report"]) == strip_timing(solo)
 
 
 class TestDeterminism:

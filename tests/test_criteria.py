@@ -5,6 +5,7 @@ import pytest
 from solvrad.bsgs import (
     CapExceededError,
     GeneratorSet,
+    MembershipError,
     build_bsgs,
     centralizer,
     class_of,
@@ -154,6 +155,11 @@ class TestTwoConjugate:
     def test_nonmember_rejected(self, group_of):
         with pytest.raises(ValueError):
             two_conjugate_test(group_of("A(5)"), parse_cycles("(1,2)", 5))
+
+    def test_nonmember_raises_membership_error(self, group_of):
+        for test in (two_conjugate_test, four_conjugate_element_test):
+            with pytest.raises(MembershipError):
+                test(group_of("A(5)"), parse_cycles("(1,2)", 5))
 
     @pytest.mark.parametrize("text,order", [("(1,2)", 2), ("(1,2,3)", 3),
                                             ("(1,2,3,4)", 4), ("(1,2)(3,4,5)", 6)])
@@ -362,6 +368,15 @@ class TestThompson:
         with pytest.raises(CapExceededError):
             thompson_test(group_of("S(5)"), 50)
 
+    @pytest.mark.parametrize("spec", ["S(4)", "A(5)"])
+    def test_given_classes_same_verdict(self, spec, group_of, classes_of):
+        g = group_of(spec)
+        assert thompson_test(g, 10_000, classes_of(spec)) == thompson_test(g, 10_000)
+
+    def test_cap_enforced_with_classes(self, group_of, classes_of):
+        with pytest.raises(CapExceededError):
+            thompson_test(group_of("S(5)"), 50, classes_of("S(5)"))
+
 
 class TestSharpness:
     def test_n5(self):
@@ -394,7 +409,7 @@ class TestPrimeOrderElements:
     def test_a5_has_the_two_five_cycle_classes(self, classes_of):
         profiles = prime_order_elements(classes_of("A(5)"))
         assert len(profiles) == 2
-        assert all(p.order == 5 and p.prime_order_gt3 for p in profiles)
+        assert all(p.order == 5 for p in profiles)
 
     def test_orders_are_prime_gt3(self, classes_of):
         for spec in ("S(5)", "PSL2(7)", "direct(C(5),A(5))"):
