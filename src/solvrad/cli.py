@@ -53,7 +53,6 @@ from .perm import CycleFormatError, is_prime, print_cycles
 from .structure import (
     derived_series,
     fitting_oracle,
-    is_solvable,
     solvable_radical_oracle,
 )
 from .zoo import GroupFileError, GroupSpecError, construct
@@ -180,6 +179,15 @@ def _oracle_vs_criterion(group: Bsgs, oracle_sub: Bsgs, criterion_sub: Bsgs) -> 
     }
 
 
+def _solvability_oracle(group: Bsgs) -> tuple[bool, int]:
+    """Whether the group is solvable, and the order of the last term of its
+    derived series (the group's order when solvable), from one series."""
+    series = derived_series(group)
+    if series.terminated:
+        return True, group.order
+    return False, series.terms[-1].order
+
+
 def cmd_verify(
     theorem: str,
     spec: str,
@@ -207,8 +215,10 @@ def cmd_verify(
     details: dict = {}
     comparison: dict
 
+    # bs, pairs and thompson always scan exhaustively
+    scan_budget = budget if mode == EXHAUSTIVE else DEFAULT_TUPLE_BUDGET
     if theorem == "bs":
-        result = baer_suzuki_set(group, classes)
+        result = baer_suzuki_set(group, classes, scan_budget)
         oracle = fitting_oracle(group, classes)
         comparison = _oracle_vs_criterion(group, oracle.subgroup, result.subgroup)
         per_element = [_verdict_dict(v) for v in result.verdicts]
@@ -272,14 +282,10 @@ def cmd_verify(
         }
         details["tested_class_reps"] = len(verdicts)
     elif theorem == "pairs":
-        pv = class_pair_solvability(group, classes)
-        solvable = is_solvable(group)
+        pv = class_pair_solvability(group, classes, scan_budget)
+        solvable, oracle_order = _solvability_oracle(group)
         comparison = {
-            "oracle_order": (
-                group.order
-                if solvable
-                else derived_series(group).terms[-1].order
-            ),
+            "oracle_order": oracle_order,
             "criterion_order": (
                 group.order
                 if pv.all_classes_pass
@@ -298,13 +304,9 @@ def cmd_verify(
         }
     elif theorem == "thompson":
         tv = thompson_test(group, element_cap, classes)
-        solvable = is_solvable(group)
+        solvable, oracle_order = _solvability_oracle(group)
         comparison = {
-            "oracle_order": (
-                group.order
-                if solvable
-                else derived_series(group).terms[-1].order
-            ),
+            "oracle_order": oracle_order,
             "criterion_order": (
                 group.order if tv.all_pairs_solvable else tv.generated_order
             ),

@@ -10,13 +10,25 @@ whole orbit.  Representatives are visited in a canonical order
 (lexicographic on image arrays), so verdicts and first-found witnesses
 are reproducible; a reported witness is always the canonically smallest.
 
+Solvability and nilpotency pass to subgroups, so every exhaustive scan keeps
+a cover for the element g it scans: the passing subgroups <g, h, ...> it has
+built so far.  A candidate whose conjugates all lie in one cover group
+passes without a build of its own.  Every skipped candidate really passes,
+so the first failure in canonical order, its witness and the logical
+counters are those of the unpruned scan.  The Thompson test uses the same
+lemma as the others: <r, y> and <r, cyc^-1> are conjugate for c in C_G(r),
+so its second element is reduced to C_G(r)-orbit representatives of the
+sorted element list, the smallest member of each orbit.
+
 Exhaustive mode may assert the universal claim; randomized mode can only
-falsify it.
+falsify it.  Exhaustive scans raise BudgetExceededError when the logical
+space they report exceeds their tuple budget.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -127,7 +139,7 @@ def _require_prime_order_gt3(g: Permutation) -> int:
 
 def _orbit_partition_reps(elements_sorted: list, cent_gens: list) -> list:
     """Lex-minimal representative of each centralizer-conjugation orbit on a
-    (sorted) class; reps come out in ascending order."""
+    sorted class (or union of classes); reps come out in ascending order."""
     if not cent_gens:
         return list(elements_sorted)
     inv = [_inv(s) for s in cent_gens]
@@ -174,25 +186,97 @@ def _conjugator_to(
     return cls.conjugator(h) * cls.conjugator(g).inverse()
 
 
-def _witness_for(
-    group_degree: int, base_raw: tuple, conjugates_raw: list, conjugators
-) -> Witness:
-    sub = _span(group_degree, [base_raw, *conjugates_raw])
-    solv = is_solvable(sub)
-    nilp = is_nilpotent(sub) if solv else False
-    return Witness(
-        conjugators=list(conjugators),
-        generated_order=sub.order,
-        solvable=solv,
-        nilpotent=nilp,
+def _witness_for(sub: Bsgs, conjugators, solvable: bool = False) -> Witness:
+    """Witness from a failing subgroup the scan already built; a subgroup
+    that is not solvable, or not nilpotent, is not nilpotent."""
+    return Witness(list(conjugators), sub.order, solvable, False)
+
+
+def _check_budget(space: int, budget: int, what: str) -> None:
+    if space > budget:
+        raise BudgetExceededError(
+            f"{space} {what} exceed the tuple budget {budget}"
+        )
+
+
+def _covered(cover: list[Bsgs], h: tuple) -> bool:
+    # newest first: later cover groups tend to be the larger ones
+    return any(c._contains_raw(h) for c in reversed(cover))
+
+
+def _first_failure(
+    degree: int, g_raw: tuple, candidates: list, predicate
+) -> Optional[tuple[tuple, Bsgs]]:
+    """The first h of `candidates`, in their order, whose <g, h> fails the
+    predicate, with the subgroup built for it; None if every one passes.
+
+    The predicate must pass to subgroups (solvable, nilpotent): an h inside
+    an already built passing <g, h'> passes without a build of its own.
+    """
+    cover: list[Bsgs] = []
+    for h in candidates:
+        if _covered(cover, h):
+            continue
+        sub = _span(degree, [g_raw, h])
+        if not predicate(sub):
+            return h, sub
+        cover.append(sub)
+    return None
+
+
+def _class_scan(
+    group: Bsgs,
+    g: Permutation,
+    cls: ConjugacyClass,
+    cz: Bsgs,
+    budget: int,
+    nilpotent: bool = False,
+) -> CriterionVerdict:
+    """Exhaustive verdict on every <g, xgx^-1> being solvable (or
+    nilpotent), over the C_G(g)-orbit representatives of the class of g."""
+    reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
+    _check_budget(len(reps), budget, "orbit representatives")
+    predicate = is_nilpotent if nilpotent else is_solvable
+    failure = _first_failure(group.degree, g._img, reps, predicate)
+    witness = None
+    if failure is not None:
+        h, sub = failure
+        x = _conjugator_to(cls, g, Permutation._from_raw(h))
+        # only a nilpotency failure can still be solvable
+        witness = _witness_for(sub, [x], nilpotent and is_solvable(sub))
+    return CriterionVerdict(
+        element=g,
+        in_radical_claimed=witness is None,
+        witness=witness,
+        search_mode=EXHAUSTIVE,
+        tuples_checked=len(reps),
     )
+
+
+def _random_search(
+    group: Bsgs, g: Permutation, k: int, budget: int, rng_seed: int
+) -> CriterionVerdict:
+    """Randomized verdict: sample k conjugators at a time, up to `budget`
+    samples, and report the first sample whose
+    <g, x1 g x1^-1, ..., xk g xk^-1> is nonsolvable."""
+    rng = random.Random(rng_seed)
+    g_raw = g._img
+    for i in range(budget):
+        xs = [random_element(group, rng) for _ in range(k)]
+        conjugates = [_mul(x._img, _mul(g_raw, _inv(x._img))) for x in xs]
+        sub = _span(group.degree, [g_raw, *conjugates])
+        if not is_solvable(sub):
+            return CriterionVerdict(
+                g, False, _witness_for(sub, xs), RANDOMIZED, i + 1
+            )
+    return CriterionVerdict(g, True, None, RANDOMIZED, budget)
 
 
 def two_conjugate_test(
     group: Bsgs,
     g: Permutation,
     mode: str = EXHAUSTIVE,
-    budget: int = 1000,
+    budget: Optional[int] = None,
     rng_seed: int = 0,
     class_of_g: Optional[ConjugacyClass] = None,
     cent: Optional[Bsgs] = None,
@@ -200,43 +284,21 @@ def two_conjugate_test(
     """Does every x in G give a solvable <g, xgx^-1>?
 
     Requires g to be a member of prime order > 3.  Exhaustive mode decides
-    by scanning centralizer-orbit representatives of the class of g;
-    randomized mode samples x and can only report a witness.
+    by scanning centralizer-orbit representatives of the class of g, at
+    most `budget` of them (default DEFAULT_TUPLE_BUDGET); randomized mode
+    samples `budget` x (default 1000) and can only report a witness.
     """
     _require_member(group, g)
     _require_prime_order_gt3(g)
     if mode == RANDOMIZED:
-        w, samples = _nonsolvable_search(group, g, budget, rng_seed)
-        return CriterionVerdict(
-            element=g,
-            in_radical_claimed=w is None,
-            witness=w,
-            search_mode=RANDOMIZED,
-            tuples_checked=samples,
+        return _random_search(
+            group, g, 1, 1000 if budget is None else budget, rng_seed
         )
-
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     cz = cent if cent is not None else centralizer(group, g, cls)
-    reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
-    g_raw = g._img
-    for h in reps:
-        sub = _span(group.degree, [g_raw, h])
-        if not is_solvable(sub):
-            x = _conjugator_to(cls, g, Permutation._from_raw(h))
-            return CriterionVerdict(
-                element=g,
-                in_radical_claimed=False,
-                witness=_witness_for(group.degree, g_raw, [h], [x]),
-                search_mode=EXHAUSTIVE,
-                tuples_checked=len(reps),
-            )
-    return CriterionVerdict(
-        element=g,
-        in_radical_claimed=True,
-        witness=None,
-        search_mode=EXHAUSTIVE,
-        tuples_checked=len(reps),
-    )
+    if budget is None:
+        budget = DEFAULT_TUPLE_BUDGET
+    return _class_scan(group, g, cls, cz, budget)
 
 
 def nonsolvable_witness_search(
@@ -246,65 +308,30 @@ def nonsolvable_witness_search(
     <g, xgx^-1> nonsolvable, or None once the budget is exhausted."""
     _require_member(group, g)
     _require_prime_order_gt3(g)
-    return _nonsolvable_search(group, g, budget, rng_seed)[0]
+    return _random_search(group, g, 1, budget, rng_seed).witness
 
 
-def _nonsolvable_search(
-    group: Bsgs, g: Permutation, budget: int, rng_seed: int
-) -> tuple[Optional[Witness], int]:
-    rng = random.Random(rng_seed)
-    g_raw = g._img
-    for i in range(budget):
-        x = random_element(group, rng)
-        xr = x._img
-        h = _mul(xr, _mul(g_raw, _inv(xr)))
-        sub = _span(group.degree, [g_raw, h])
-        if not is_solvable(sub):
-            witness = Witness(
-                conjugators=[x],
-                generated_order=sub.order,
-                solvable=False,
-                nilpotent=False,
-            )
-            return witness, i + 1
-    return None, budget
-
-
-def baer_suzuki_set(group: Bsgs, classes: list[ConjugacyClass]) -> RadicalResult:
+def baer_suzuki_set(
+    group: Bsgs,
+    classes: list[ConjugacyClass],
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> RadicalResult:
     """Subgroup generated by the classes whose representative g has every
     <g, xgx^-1> nilpotent; by the classical Baer-Suzuki theorem this is the
-    nilpotent radical."""
+    nilpotent radical.  Each class scans at most `budget` orbit
+    representatives."""
     verdicts = []
     member_reps = []
     for cls in classes:
         rep = cls.representative
-        rep_raw = rep._img
         if rep.is_identity():
+            v = CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
+        else:
+            cz = centralizer(group, rep, cls)
+            v = _class_scan(group, rep, cls, cz, budget, nilpotent=True)
+        verdicts.append(v)
+        if v.in_radical_claimed:
             member_reps.append(rep)
-            verdicts.append(
-                CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
-            )
-            continue
-        cz = centralizer(group, rep, cls)
-        reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
-        witness = None
-        for h in reps:
-            sub = _span(group.degree, [rep_raw, h])
-            if not is_nilpotent(sub):
-                x = _conjugator_to(cls, rep, Permutation._from_raw(h))
-                witness = _witness_for(group.degree, rep_raw, [h], [x])
-                break
-        if witness is None:
-            member_reps.append(rep)
-        verdicts.append(
-            CriterionVerdict(
-                element=rep,
-                in_radical_claimed=witness is None,
-                witness=witness,
-                search_mode=EXHAUSTIVE,
-                tuples_checked=len(reps),
-            )
-        )
     subgroup = normal_closure(group, member_reps)
     return RadicalResult(
         subgroup=subgroup,
@@ -328,84 +355,75 @@ def four_conjugate_element_test(
 
     Exhaustive mode scans (h1, h2, h3) over class(g)^3 with the first
     coordinate reduced to centralizer-orbit representatives; it requires
-    |class(g)|^3 <= tuple_budget.  A subgroup containing a nonsolvable
-    subgroup is nonsolvable, so prefixes <g,h1> / <g,h1,h2> that already
-    fail are reported with the lexicographically first completion, which
-    is exactly where the naive scan would first fail.
+    that space, len(h1 reps) * |class(g)|^2, to be <= tuple_budget.  A
+    subgroup containing a nonsolvable subgroup is nonsolvable, so prefixes
+    <g,h1> / <g,h1,h2> that already fail are reported with the
+    lexicographically first completion, which is exactly where the naive
+    scan would first fail.  One cover of passing subgroups serves all three
+    levels: a prefix or tuple inside one of them is not built.
     """
     _require_member(group, g)
     if mode == RANDOMIZED:
-        return _four_conjugate_randomized(group, g, tuple_budget, rng_seed)
+        return _random_search(group, g, 3, tuple_budget, rng_seed)
 
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     raw = cls._elements_raw
-    if len(raw) ** 3 > tuple_budget:
-        raise BudgetExceededError(
-            f"class size {len(raw)}: {len(raw) ** 3} raw triples exceed the "
-            f"tuple budget {tuple_budget}"
-        )
     cz = cent if cent is not None else centralizer(group, g, cls)
     h1_reps = _orbit_partition_reps(raw, cz._gens_raw)
     total = len(h1_reps) * len(raw) * len(raw)
+    _check_budget(total, tuple_budget, "reduced triples")
     g_raw = g._img
     first = raw[0]
 
-    def verdict_from(h1, h2, h3):
+    def failure(hs, sub=None):
+        if sub is None:  # a failing prefix: report its first completion
+            sub = _span(group.degree, [g_raw, *hs])
         conjs = [
-            _conjugator_to(cls, g, Permutation._from_raw(h))
-            for h in (h1, h2, h3)
+            _conjugator_to(cls, g, Permutation._from_raw(h)) for h in hs
         ]
         return CriterionVerdict(
             element=g,
             in_radical_claimed=False,
-            witness=_witness_for(group.degree, g_raw, [h1, h2, h3], conjs),
+            witness=_witness_for(sub, conjs),
             search_mode=EXHAUSTIVE,
             tuples_checked=total,
         )
 
+    # cover: passing subgroups built so far; live1 / live2: those of them
+    # containing h1 / h1 and h2
+    cover: list[Bsgs] = []
     for h1 in h1_reps:
-        if not is_solvable(_span(group.degree, [g_raw, h1])):
-            return verdict_from(h1, first, first)
+        live1 = [c for c in cover if c._contains_raw(h1)]
+        if not live1:
+            sub = _span(group.degree, [g_raw, h1])
+            if not is_solvable(sub):
+                return failure((h1, first, first))
+            cover.append(sub)
+            live1.append(sub)
         for h2 in raw:
-            if not is_solvable(_span(group.degree, [g_raw, h1, h2])):
-                return verdict_from(h1, h2, first)
+            live2 = [c for c in live1 if c._contains_raw(h2)]
+            if not live2:
+                sub = _span(group.degree, [g_raw, h1, h2])
+                if not is_solvable(sub):
+                    return failure((h1, h2, first))
+                cover.append(sub)
+                live1.append(sub)
+                live2.append(sub)
             for h3 in raw:
-                if not is_solvable(_span(group.degree, [g_raw, h1, h2, h3])):
-                    return verdict_from(h1, h2, h3)
+                if _covered(live2, h3):
+                    continue
+                sub = _span(group.degree, [g_raw, h1, h2, h3])
+                if not is_solvable(sub):
+                    return failure((h1, h2, h3), sub)
+                cover.append(sub)
+                live1.append(sub)
+                live2.append(sub)
     return CriterionVerdict(
         element=g,
         in_radical_claimed=True,
         witness=None,
         search_mode=EXHAUSTIVE,
         tuples_checked=total,
-    )
-
-
-def _four_conjugate_randomized(
-    group: Bsgs, g: Permutation, budget: int, rng_seed: int
-) -> CriterionVerdict:
-    rng = random.Random(rng_seed)
-    g_raw = g._img
-    for i in range(budget):
-        abc = [random_element(group, rng) for _ in range(3)]
-        conjugates = [
-            _mul(x._img, _mul(g_raw, _inv(x._img))) for x in abc
-        ]
-        sub = _span(group.degree, [g_raw, *conjugates])
-        if not is_solvable(sub):
-            return CriterionVerdict(
-                element=g,
-                in_radical_claimed=False,
-                witness=Witness(abc, sub.order, False, False),
-                search_mode=RANDOMIZED,
-                tuples_checked=i + 1,
-            )
-    return CriterionVerdict(
-        element=g,
-        in_radical_claimed=True,
-        witness=None,
-        search_mode=RANDOMIZED,
-        tuples_checked=budget,
     )
 
 
@@ -443,27 +461,32 @@ def four_conjugate_radical(
 
 
 def class_pair_solvability(
-    group: Bsgs, classes: list[ConjugacyClass]
+    group: Bsgs,
+    classes: list[ConjugacyClass],
+    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> ClassPairVerdict:
     """Does every pair of elements of one conjugacy class generate a
     solvable subgroup?  Scans (rep, h) with h reduced to centralizer-orbit
-    representatives, class by class in canonical order."""
+    representatives, class by class in canonical order.  Raises
+    BudgetExceededError before a class that would take the pair count
+    past `budget`."""
     checked = 0
     for cls in classes:
         rep = cls.representative
-        rep_raw = rep._img
         cz = centralizer(group, rep, cls)
-        for h in _orbit_partition_reps(cls._elements_raw, cz._gens_raw):
-            checked += 1
-            sub = _span(group.degree, [rep_raw, h])
-            if not is_solvable(sub):
-                x = _conjugator_to(cls, rep, Permutation._from_raw(h))
-                return ClassPairVerdict(
-                    all_classes_pass=False,
-                    witness_element=rep,
-                    witness=_witness_for(group.degree, rep_raw, [h], [x]),
-                    pairs_checked=checked,
-                )
+        reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
+        _check_budget(checked + len(reps), budget, "class pairs")
+        failure = _first_failure(group.degree, rep._img, reps, is_solvable)
+        if failure is not None:
+            h, sub = failure
+            x = _conjugator_to(cls, rep, Permutation._from_raw(h))
+            return ClassPairVerdict(
+                all_classes_pass=False,
+                witness_element=rep,
+                witness=_witness_for(sub, [x]),
+                pairs_checked=checked + reps.index(h) + 1,
+            )
+        checked += len(reps)
     return ClassPairVerdict(
         all_classes_pass=True,
         witness_element=None,
@@ -479,8 +502,11 @@ def thompson_test(
 ) -> ThompsonVerdict:
     """Is every two-generated subgroup solvable?  Pairs are reduced up to
     simultaneous conjugacy by taking the first element to be a class
-    representative; the second ranges over the whole group.  `classes`,
-    when given, must be the group's conjugacy classes."""
+    representative r; the second ranges over the whole group, scanned as
+    C_G(r)-orbit representatives.  `pairs_checked` counts the pairs of the
+    unreduced scan, (class rep, element) in sorted order, up to and
+    including a failing one.  `classes`, when given, must be the group's
+    conjugacy classes."""
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}"
@@ -492,20 +518,19 @@ def thompson_test(
     )
     checked = 0
     for cls in classes:
-        rep_raw = cls.representative._img
-        for y in elements:
-            checked += 1
-            sub = _span(group.degree, [rep_raw, y])
-            if not is_solvable(sub):
-                return ThompsonVerdict(
-                    all_pairs_solvable=False,
-                    witness_pair=(
-                        cls.representative,
-                        Permutation._from_raw(y),
-                    ),
-                    generated_order=sub.order,
-                    pairs_checked=checked,
-                )
+        rep = cls.representative
+        cz = centralizer(group, rep, cls)
+        ys = _orbit_partition_reps(elements, cz._gens_raw)
+        failure = _first_failure(group.degree, rep._img, ys, is_solvable)
+        if failure is not None:
+            y, sub = failure
+            return ThompsonVerdict(
+                all_pairs_solvable=False,
+                witness_pair=(rep, Permutation._from_raw(y)),
+                generated_order=sub.order,
+                pairs_checked=checked + bisect_left(elements, y) + 1,
+            )
+        checked += len(elements)
     return ThompsonVerdict(
         all_pairs_solvable=True,
         witness_pair=None,

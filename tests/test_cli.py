@@ -115,6 +115,24 @@ class TestVerify:
     def test_four_budget_exceeded(self, capsys):
         assert main(["verify", "four", "S(5)", "--budget", "10"]) == EXIT_BUDGET
 
+    def test_four_budget_bounds_the_reported_space(self, capsys):
+        # S(4)'s largest reduced space is 4 * 8^2 = 256 (3-cycles), not 8^3
+        code, rep = run(capsys, "verify", "four", "S(4)", "--budget", "256")
+        assert code == EXIT_OK
+        assert max(v["tuples_checked"] for v in rep["per_element_results"]) == 256
+        assert main(["verify", "four", "S(4)", "--budget", "255"]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("theorem", ["two", "bs", "pairs"])
+    def test_exhaustive_budget_exceeded(self, capsys, theorem):
+        code, rep = run(capsys, "verify", theorem, "A(5)", "--budget", "1")
+        assert code == EXIT_BUDGET
+        assert "exceed the tuple budget 1" in rep["details"]["error"]
+
+    @pytest.mark.parametrize("theorem", ["bs", "pairs"])
+    def test_randomized_budget_is_not_a_tuple_budget(self, capsys, theorem):
+        # bs and pairs always scan exhaustively; --budget counts samples only
+        assert main(["verify", theorem, "A(5)", "--randomized", "--budget", "1"]) == EXIT_OK
+
     def test_randomized_two_records_seed(self, capsys):
         code, rep = run(
             capsys, "verify", "two", "A(5)", "--randomized", "--seed", "5",
