@@ -203,6 +203,10 @@ def cmd_verify(
         )
     _require_positive("budget", budget)
     _require_positive("element_cap", element_cap)
+    # bs, pairs and thompson always scan exhaustively, and report so; a
+    # --budget given with --randomized counts samples, so it bounds no scan
+    if theorem not in ("four", "two") and mode == RANDOMIZED:
+        mode, budget = EXHAUSTIVE, None
     if budget is None:
         budget = (
             DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
@@ -215,10 +219,8 @@ def cmd_verify(
     details: dict = {}
     comparison: dict
 
-    # bs, pairs and thompson always scan exhaustively
-    scan_budget = budget if mode == EXHAUSTIVE else DEFAULT_TUPLE_BUDGET
     if theorem == "bs":
-        result = baer_suzuki_set(group, classes, scan_budget)
+        result = baer_suzuki_set(group, classes, budget)
         oracle = fitting_oracle(group, classes)
         comparison = _oracle_vs_criterion(group, oracle.subgroup, result.subgroup)
         per_element = [_verdict_dict(v) for v in result.verdicts]
@@ -282,7 +284,7 @@ def cmd_verify(
         }
         details["tested_class_reps"] = len(verdicts)
     elif theorem == "pairs":
-        pv = class_pair_solvability(group, classes, scan_budget)
+        pv = class_pair_solvability(group, classes, budget)
         solvable, oracle_order = _solvability_oracle(group)
         comparison = {
             "oracle_order": oracle_order,
@@ -381,9 +383,7 @@ def cmd_suite(
             config = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise GroupFileError(f"cannot read suite config {config_path}: {e}") from e
-    entries = config.get("entries")
-    if not isinstance(entries, list):
-        raise GroupFileError(f"suite config {config_path} needs an 'entries' list")
+    entries = _suite_entries(config, config_path)
 
     sub_reports = []
     worst = EXIT_OK
@@ -415,6 +415,29 @@ def cmd_suite(
         },
     )
     return worst, report
+
+
+def _suite_entries(config, config_path: str) -> list:
+    """The entries of a parsed suite config, checked for shape before any
+    of them runs."""
+    if not isinstance(config, dict):
+        raise GroupFileError(f"suite config {config_path} must be a JSON object")
+    entries = config.get("entries")
+    if not isinstance(entries, list):
+        raise GroupFileError(f"suite config {config_path} needs an 'entries' list")
+    for i, entry in enumerate(entries):
+        where = f"suite config {config_path}, entry {i}"
+        if not isinstance(entry, dict):
+            raise GroupFileError(f"{where}: an entry must be an object, got {entry!r}")
+        flags = entry.get("flags", {})
+        if not isinstance(flags, dict):
+            raise GroupFileError(f"{where}: 'flags' must be an object, got {flags!r}")
+        if not isinstance(flags.get("randomized", False), bool):
+            raise GroupFileError(
+                f"{where}: 'randomized' must be true or false, "
+                f"got {flags['randomized']!r}"
+            )
+    return entries
 
 
 def _run_entry(

@@ -10,15 +10,17 @@ whole orbit.  Representatives are visited in a canonical order
 (lexicographic on image arrays), so verdicts and first-found witnesses
 are reproducible; a reported witness is always the canonically smallest.
 
-Solvability and nilpotency pass to subgroups, so every exhaustive scan keeps
-a cover for the element g it scans: the passing subgroups <g, h, ...> it has
-built so far.  A candidate whose conjugates all lie in one cover group
-passes without a build of its own.  Every skipped candidate really passes,
-so the first failure in canonical order, its witness and the logical
-counters are those of the unpruned scan.  The Thompson test uses the same
-lemma as the others: <r, y> and <r, cyc^-1> are conjugate for c in C_G(r),
-so its second element is reduced to C_G(r)-orbit representatives of the
-sorted element list, the smallest member of each orbit.
+Solvability and nilpotency pass to subgroups, so every scan, exhaustive or
+randomized, keeps a cover for the element g it scans: the passing subgroups
+<g, h, ...> it has built so far.  A candidate tuple of conjugates that all
+lie in one cover group passes without a build of its own.  Every skipped
+candidate really passes, so the first failure in canonical order, its
+witness and the logical counters are those of the unpruned scan.  A
+randomized search still makes every RNG draw, in the same order, so its
+samples, witnesses and counters are unchanged too.  The Thompson test uses
+the same lemma as the others: <r, y> and <r, cyc^-1> are conjugate for c in
+C_G(r), so its second element is reduced to C_G(r)-orbit representatives of
+the sorted element list, the smallest member of each orbit.
 
 Exhaustive mode may assert the universal claim; randomized mode can only
 falsify it.  Exhaustive scans raise BudgetExceededError when the logical
@@ -199,27 +201,31 @@ def _check_budget(space: int, budget: int, what: str) -> None:
         )
 
 
-def _covered(cover: list[Bsgs], h: tuple) -> bool:
+def _covered(cover: list[Bsgs], hs: tuple) -> bool:
+    """Whether all the conjugates hs lie in one cover group."""
     # newest first: later cover groups tend to be the larger ones
-    return any(c._contains_raw(h) for c in reversed(cover))
+    return any(all(map(c._contains_raw, hs)) for c in reversed(cover))
 
 
 def _first_failure(
-    degree: int, g_raw: tuple, candidates: list, predicate
-) -> Optional[tuple[tuple, Bsgs]]:
-    """The first h of `candidates`, in their order, whose <g, h> fails the
-    predicate, with the subgroup built for it; None if every one passes.
+    degree: int, g_raw: tuple, candidates, predicate
+) -> Optional[tuple[int, tuple, Bsgs]]:
+    """The first tuple of conjugates (h1, ..., hk) of `candidates`, in their
+    order, whose <g, h1, ..., hk> fails the predicate, with its index and
+    the subgroup built for it; None if every one passes.  `candidates` may
+    be any iterable, and is consumed no further than the failing tuple.
 
-    The predicate must pass to subgroups (solvable, nilpotent): an h inside
-    an already built passing <g, h'> passes without a build of its own.
+    The predicate must pass to subgroups (solvable, nilpotent): a tuple
+    inside an already built passing subgroup passes without a build of
+    its own.
     """
     cover: list[Bsgs] = []
-    for h in candidates:
-        if _covered(cover, h):
+    for i, hs in enumerate(candidates):
+        if _covered(cover, hs):
             continue
-        sub = _span(degree, [g_raw, h])
+        sub = _span(degree, [g_raw, *hs])
         if not predicate(sub):
-            return h, sub
+            return i, hs, sub
         cover.append(sub)
     return None
 
@@ -237,10 +243,12 @@ def _class_scan(
     reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
     _check_budget(len(reps), budget, "orbit representatives")
     predicate = is_nilpotent if nilpotent else is_solvable
-    failure = _first_failure(group.degree, g._img, reps, predicate)
+    failure = _first_failure(
+        group.degree, g._img, ((h,) for h in reps), predicate
+    )
     witness = None
     if failure is not None:
-        h, sub = failure
+        _, (h,), sub = failure
         x = _conjugator_to(cls, g, Permutation._from_raw(h))
         # only a nilpotency failure can still be solvable
         witness = _witness_for(sub, [x], nilpotent and is_solvable(sub))
@@ -258,18 +266,29 @@ def _random_search(
 ) -> CriterionVerdict:
     """Randomized verdict: sample k conjugators at a time, up to `budget`
     samples, and report the first sample whose
-    <g, x1 g x1^-1, ..., xk g xk^-1> is nonsolvable."""
+    <g, x1 g x1^-1, ..., xk g xk^-1> is nonsolvable.
+
+    The samples feed the scan kernel, so a sample whose conjugates lie in
+    an already built solvable subgroup passes without a build.  Every
+    sample is still drawn, in the same RNG order, and a failing sample is
+    never covered, so the verdict, witness and `tuples_checked` are those
+    of building every sample.
+    """
     rng = random.Random(rng_seed)
     g_raw = g._img
-    for i in range(budget):
-        xs = [random_element(group, rng) for _ in range(k)]
-        conjugates = [_mul(x._img, _mul(g_raw, _inv(x._img))) for x in xs]
-        sub = _span(group.degree, [g_raw, *conjugates])
-        if not is_solvable(sub):
-            return CriterionVerdict(
-                g, False, _witness_for(sub, xs), RANDOMIZED, i + 1
-            )
-    return CriterionVerdict(g, True, None, RANDOMIZED, budget)
+    xs: list[Permutation] = []
+
+    def samples():
+        for _ in range(budget):
+            xs[:] = [random_element(group, rng) for _ in range(k)]
+            yield tuple(_mul(x._img, _mul(g_raw, _inv(x._img))) for x in xs)
+
+    failure = _first_failure(group.degree, g_raw, samples(), is_solvable)
+    if failure is None:
+        return CriterionVerdict(g, True, None, RANDOMIZED, budget)
+    # the kernel stops at the failing sample, so xs holds its conjugators
+    i, _, sub = failure
+    return CriterionVerdict(g, False, _witness_for(sub, xs), RANDOMIZED, i + 1)
 
 
 def two_conjugate_test(
@@ -410,7 +429,7 @@ def four_conjugate_element_test(
                 live1.append(sub)
                 live2.append(sub)
             for h3 in raw:
-                if _covered(live2, h3):
+                if _covered(live2, (h3,)):
                     continue
                 sub = _span(group.degree, [g_raw, h1, h2, h3])
                 if not is_solvable(sub):
@@ -476,15 +495,17 @@ def class_pair_solvability(
         cz = centralizer(group, rep, cls)
         reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
         _check_budget(checked + len(reps), budget, "class pairs")
-        failure = _first_failure(group.degree, rep._img, reps, is_solvable)
+        failure = _first_failure(
+            group.degree, rep._img, ((h,) for h in reps), is_solvable
+        )
         if failure is not None:
-            h, sub = failure
+            i, (h,), sub = failure
             x = _conjugator_to(cls, rep, Permutation._from_raw(h))
             return ClassPairVerdict(
                 all_classes_pass=False,
                 witness_element=rep,
                 witness=_witness_for(sub, [x]),
-                pairs_checked=checked + reps.index(h) + 1,
+                pairs_checked=checked + i + 1,
             )
         checked += len(reps)
     return ClassPairVerdict(
@@ -521,9 +542,11 @@ def thompson_test(
         rep = cls.representative
         cz = centralizer(group, rep, cls)
         ys = _orbit_partition_reps(elements, cz._gens_raw)
-        failure = _first_failure(group.degree, rep._img, ys, is_solvable)
+        failure = _first_failure(
+            group.degree, rep._img, ((y,) for y in ys), is_solvable
+        )
         if failure is not None:
-            y, sub = failure
+            _, (y,), sub = failure
             return ThompsonVerdict(
                 all_pairs_solvable=False,
                 witness_pair=(rep, Permutation._from_raw(y)),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +136,18 @@ class TestVerify:
         # bs and pairs always scan exhaustively; --budget counts samples only
         assert main(["verify", theorem, "A(5)", "--randomized", "--budget", "1"]) == EXIT_OK
 
+    @pytest.mark.parametrize("theorem", ["bs", "pairs", "thompson"])
+    def test_exhaustive_theorems_report_exhaustive_under_randomized(
+        self, capsys, theorem
+    ):
+        code, rep = run(
+            capsys, "verify", theorem, "A(5)", "--randomized", "--seed", "9"
+        )
+        assert code == EXIT_OK
+        assert (rep["search_mode"], rep["rng_seed"]) == ("exhaustive", None)
+        _, exhaustive = run(capsys, "verify", theorem, "A(5)")
+        assert strip_timing(rep) == strip_timing(exhaustive)
+
     def test_randomized_two_records_seed(self, capsys):
         code, rep = run(
             capsys, "verify", "two", "A(5)", "--randomized", "--seed", "5",
@@ -240,6 +255,28 @@ class TestSuite:
         cfg.write_text(json.dumps({"entries": entries}))
         return run(capsys, "suite", str(cfg), *argv)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([], "must be a JSON object"),
+            ({"entries": [5]}, "entry 0: an entry must be an object"),
+            ({"entries": [{"command": "info", "spec": "S(3)", "flags": [1]}]},
+             "entry 0: 'flags' must be an object"),
+            ({"entries": [{"command": "two", "spec": "A(5)",
+                           "flags": {"randomized": "no"}}]},
+             "entry 0: 'randomized' must be true or false"),
+        ],
+        ids=["top-level-list", "entry-not-object", "flags-not-object",
+             "randomized-not-bool"],
+    )
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, rep = run(capsys, "suite", str(cfg))
+        assert code == EXIT_USAGE
+        assert message in rep["details"]["error"]
+        assert "entries" not in rep["details"]
+
     def test_unknown_mode_is_usage_error(self, capsys, tmp_path):
         code, rep = self.suite(capsys, tmp_path, [
             {"command": "two", "spec": "A(5)", "flags": {"mode": "bogus"}},
@@ -338,3 +375,15 @@ class TestDeterminism:
         _, rep1 = run(capsys, "verify", "bs", "S(4)")
         _, rep2 = run(capsys, "verify", "bs", "S(4)")
         assert strip_timing(rep1) == strip_timing(rep2)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(solvrad.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "solvrad", "verify", "two", "A(5)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "verify two"

@@ -1,13 +1,16 @@
 """Differential safety net for the pruned criterion scans.
 
-Each exhaustive scan in `solvrad.criteria` skips candidates that lie in a
-passing subgroup it has already built, and the Thompson test scans only
-centralizer-orbit representatives.  The reference scans below are the
-unpruned loops: every candidate in canonical order gets its own subgroup,
-centralizer orbits come from brute-force centralizers, and the Thompson
-scan visits every (class representative, element) pair.  Verdicts,
-witnesses (conjugators and generated order) and counters must agree.
+Each criterion scan in `solvrad.criteria`, exhaustive or randomized, skips
+candidates that lie in a passing subgroup it has already built, and the
+Thompson test scans only centralizer-orbit representatives.  The reference
+scans below are the unpruned loops: every candidate in canonical order (or
+every random sample) gets its own subgroup, centralizer orbits come from
+brute-force centralizers, and the Thompson scan visits every (class
+representative, element) pair.  Verdicts, witnesses (conjugators and
+generated order) and counters must agree.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +21,15 @@ from solvrad.bsgs import (
     build_bsgs,
     conjugacy_classes,
     enumerate_elements,
+    random_element,
 )
 from solvrad.criteria import (
     BudgetExceededError,
+    _random_search,
     baer_suzuki_set,
     class_pair_solvability,
     four_conjugate_element_test,
+    nonsolvable_witness_search,
     thompson_test,
     two_conjugate_test,
 )
@@ -134,6 +140,41 @@ def reference_thompson(group, classes):
     return True, checked, None, None
 
 
+def reference_random_search(group, g, k, budget, seed):
+    """(claimed, tuples_checked, witness): build <g, x1 g x1^-1, ...> for
+    every sample of k conjugators until one is nonsolvable."""
+    rng = random.Random(seed)
+    g_raw = g._img
+    for i in range(budget):
+        xs = [random_element(group, rng) for _ in range(k)]
+        conjugates = [_mul(x._img, _mul(g_raw, _inv(x._img))) for x in xs]
+        sub = _span(group.degree, [g_raw, *conjugates])
+        if not is_solvable(sub):
+            witness = (tuple(x.images for x in xs), sub.order, False, False)
+            return False, i + 1, witness
+    return True, budget, None
+
+
+def check_random_searches(group, classes, seeds, budget):
+    """The randomized searches, with one conjugate (two, the nonsolvable
+    witness search) and with three (four), agree with the unpruned loop on
+    every class representative; returns their verdicts."""
+    claims = []
+    for cls in classes:
+        g = cls.representative
+        for k in (1, 3):
+            for seed in seeds:
+                v = _random_search(group, g, k, budget, seed)
+                ref = reference_random_search(group, g, k, budget, seed)
+                assert _verdict_key(v) == ref
+                claims.append(v.in_radical_claimed)
+                n = g.order()
+                if k == 1 and is_prime(n) and n > 3:
+                    w = nonsolvable_witness_search(group, g, budget, seed)
+                    assert _witness_key(w) == ref[2]
+    return claims
+
+
 def check_class_scans(group, classes):
     """The Baer-Suzuki and two-conjugate scans agree with their reference
     on every class."""
@@ -201,8 +242,23 @@ def test_pruned_scans_match_reference_on_random_groups(gens):
     group = build_bsgs(GeneratorSet(gens[0].degree, gens))
     classes = conjugacy_classes(group)
     check_class_scans(group, classes)
+    check_random_searches(group, classes, seeds=(0, 1), budget=10)
     if group.order <= 120:  # beyond, the unpruned references get too slow
         check_group_scans(group, classes, four_space_limit=2_000)
+
+
+@pytest.mark.parametrize(
+    "spec, solvable",
+    [("S(5)", False), ("A(5)", False), ("PSL2(7)", False),
+     ("direct(C(5),A(5))", False), ("S(4)", True), ("D(6)", True),
+     ("direct(D(5),D(7))", True)],
+)
+def test_pruned_random_search_matches_reference(spec, solvable, group_of, classes_of):
+    claims = check_random_searches(
+        group_of(spec), classes_of(spec), seeds=(0, 1, 2), budget=20
+    )
+    # a solvable group passes every sample; the others show some witness
+    assert all(claims) == solvable
 
 
 @pytest.mark.parametrize(
