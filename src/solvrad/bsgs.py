@@ -6,11 +6,20 @@ here are desk scale (degree <= ~100, order <= ~10^6), so reproducibility is
 worth more than randomized speed.  All search orders are canonical
 (lexicographic on image arrays, sorted orbit points), so every derived
 object is identical across runs.
+
+Conjugation orbits are walked by base image: an element of a group is fixed
+by the images of the group's base points, and (s y s^-1)(b) = s(y(s^-1(b))),
+so a conjugate is identified from len(base) lookups before, or instead of,
+building its image array.  Conjugacy classes take each conjugate from the
+enumerated group by that key.  A class keeps the Schreier tree of its orbit
+walk rather than a conjugator per member, and conjugators (and a
+centralizer's Schreier generators) are read from the tree on demand.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
@@ -320,31 +329,38 @@ def centralizer(
     """Centralizer of x, via the conjugation orbit of x with Schreier
     generators; stops once the orbit-stabilizer bound |G|/|orbit| is hit.
 
-    When x is the representative of `cls`, a class of `group`, the class's
-    stored transversal is the orbit and it is not walked again.
+    Each Schreier generator w^-1 s u takes its conjugators u and w from the
+    orbit's Schreier tree, on demand, and a tree edge (w = s u) is skipped
+    without a product.  When x is the representative of `cls`, a class of
+    `group`, the class's tree is the orbit and it is not walked again.
     """
     if not group.contains(x):
         raise MembershipError(f"{x!r} is not a member of the group")
     xr = x._img
-    if cls is not None and cls._elements_raw[0] == xr:
-        orbit, transversal = cls._elements_raw, cls._conjugators
+    base = group._chain.base
+    if cls is not None and cls._group is group and cls._elements_raw[0] == xr:
+        orbit, tree, known = cls._elements_raw, cls._tree, dict([cls._root])
     else:
-        transversal = _conjugation_orbit(group, xr)
-        orbit = sorted(transversal)
+        members, tree = _conjugation_orbit(group, xr)
+        orbit = sorted(members.values())
+        known = {_base_image(xr, base): _identity(group.degree)}
     target, rem = divmod(group.order, len(orbit))
     assert rem == 0, "orbit size must divide the group order"
 
     chain = _Chain(group.degree, ())
     gens = group._gens_raw
-    gens_inv = [_inv(s) for s in gens]
+    pulls = [_base_image(_inv(s), base) for s in gens]
     ident = _identity(group.degree)
     done = False
     for y in orbit:
-        u = transversal[y]
-        for s, si in zip(gens, gens_inv):
-            z = _mul(s, _mul(y, si))
-            w_inv = _inv(transversal[z])
-            cand = _mul(w_inv, _mul(s, u))
+        ky = _base_image(y, base)
+        u = _tree_conjugator(tree, gens, ky, known)
+        for i, (s, pull) in enumerate(zip(gens, pulls)):
+            kz = _conjugate_key(s, y, pull)
+            if tree[kz] == (ky, i):
+                continue  # a tree edge: the Schreier generator is trivial
+            w = _tree_conjugator(tree, gens, kz, known)
+            cand = _mul(_inv(w), _mul(s, u))
             if cand != ident and not chain.contains(cand):
                 chain.extend([cand])
                 if chain.order() == target:
@@ -356,37 +372,97 @@ def centralizer(
     return Bsgs._wrap(group.degree, chain, chain.strong_generators())
 
 
-def _conjugation_orbit(group: Bsgs, x: tuple) -> dict[tuple, tuple]:
-    """Orbit of x under conjugation by the group, as a transversal keyed by
-    the orbit: transversal[y] = u such that u x u^-1 = y."""
-    ident = _identity(group.degree)
+def _base_image(e: tuple, base: Sequence[int]) -> tuple:
+    """The images of the base points under e, which fix e within its group."""
+    return tuple(map(e.__getitem__, base))
+
+
+def _conjugate_key(s: tuple, y: tuple, pull: tuple) -> tuple:
+    """Base image of s y s^-1, given pull, the base image of s^-1:
+    (s y s^-1)(b) = s(y(s^-1(b)))."""
+    return tuple(map(s.__getitem__, map(y.__getitem__, pull)))
+
+
+def _conjugation_orbit(
+    group: Bsgs, x: tuple, lookup: Optional[dict] = None
+) -> tuple[dict, dict]:
+    """Orbit of x under conjugation by the group's generators, walked frontier
+    by frontier, generators in order, the first discovery winning.
+
+    Conjugates are identified by base image, so a conjugate costs one key
+    of len(base) lookups; the conjugate itself is taken from `lookup` (base
+    image -> element, the enumerated group) or, without one, built only when
+    its key is new.  Returns (members, tree), both keyed by base image:
+    members[k] is the orbit element, and tree[k] = (parent key, generator
+    index i) with element = s_i parent s_i^-1, or None at x.
+    """
+    base = group._chain.base
     gens = group._gens_raw
     gens_inv = [_inv(s) for s in gens]
-    transversal = {x: ident}
-    frontier = [x]
+    pulls = [_base_image(si, base) for si in gens_inv]
+    root = _base_image(x, base)
+    members = {root: x}
+    tree: dict = {root: None}
+    frontier = [(root, x)]
     while frontier:
         nxt = []
-        for y in frontier:
-            u = transversal[y]
-            for s, si in zip(gens, gens_inv):
-                z = _mul(s, _mul(y, si))
-                if z not in transversal:
-                    transversal[z] = _mul(s, u)
-                    nxt.append(z)
+        for ky, y in frontier:
+            for i, (s, pull) in enumerate(zip(gens, pulls)):
+                kz = _conjugate_key(s, y, pull)
+                if kz not in tree:
+                    if lookup is not None:
+                        z = lookup[kz]
+                    else:
+                        z = _mul(s, _mul(y, gens_inv[i]))
+                    tree[kz] = (ky, i)
+                    members[kz] = z
+                    nxt.append((kz, z))
         frontier = nxt
-    return transversal
+    return members, tree
+
+
+def _tree_conjugator(tree: dict, gens: list, k: tuple, known: dict) -> tuple:
+    """The conjugator u of the orbit member keyed k (u x u^-1 = member, for
+    the tree's root x), as the product of the generators on its path up to
+    the nearest key in `known`; `known` holds at least the root's conjugator
+    and keeps every conjugator computed on the way."""
+    path = []
+    while k not in known:
+        parent, i = tree[k]
+        path.append((k, i))
+        k = parent
+    u = known[k]
+    for k, i in reversed(path):
+        u = _mul(gens[i], u)
+        known[k] = u
+    return u
 
 
 class ConjugacyClass:
     """A conjugacy class, fully enumerated: representative (the lexicographically
-    smallest member), all elements, and the class size."""
+    smallest member), all elements, and the class size.
 
-    __slots__ = ("representative", "_elements_raw", "_conjugators", "degree")
+    Members are identified by their base images in the group.  Instead of a
+    conjugator per member, the class keeps the Schreier tree of the orbit
+    walk that found it (each member's parent and generator index), and
+    conjugator(h) reads h's conjugator from it on demand: the generators on
+    h's path to the root, times the root's conjugator, which is the
+    re-rooting factor u(rep)^-1 when the walk started at another member and
+    the identity otherwise.
+    """
 
-    def __init__(self, degree: int, elements_raw: list[tuple], conjugators: dict):
-        self.degree = degree
+    __slots__ = (
+        "representative", "_elements_raw", "_group", "_tree", "_root", "degree"
+    )
+
+    def __init__(
+        self, group: Bsgs, elements_raw: list[tuple], tree: dict, root: tuple
+    ):
+        self.degree = group.degree
+        self._group = group
         self._elements_raw = elements_raw
-        self._conjugators = conjugators
+        self._tree = tree
+        self._root = root  # (root key, root conjugator)
         self.representative = Permutation._from_raw(elements_raw[0])
 
     @property
@@ -399,9 +475,12 @@ class ConjugacyClass:
 
     def conjugator(self, h: Permutation) -> Permutation:
         """Some x with x * rep * x^-1 = h; h must be a class member."""
-        u = self._conjugators.get(h._img)
-        if u is None:
+        els = self._elements_raw
+        i = bisect_left(els, h._img)
+        if i == len(els) or els[i] != h._img:
             raise MembershipError(f"{h!r} is not in this conjugacy class")
+        k = _base_image(h._img, self._group._chain.base)
+        u = _tree_conjugator(self._tree, self._group._gens_raw, k, dict([self._root]))
         return Permutation._from_raw(u)
 
     def __repr__(self) -> str:
@@ -415,20 +494,23 @@ def conjugacy_classes(
     group: Bsgs, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[ConjugacyClass]:
     """All conjugacy classes by full element enumeration, ordered by their
-    (lexicographically minimal) representatives."""
+    (lexicographically minimal) representatives.  The orbit walks take each
+    conjugate from the enumeration by its base image instead of building it."""
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}; "
             "use a randomized mode instead"
         )
-    all_elements = sorted(_enumerate_raw(group))
+    base = group._chain.base
+    # base image -> element, in sorted element order
+    lookup = {_base_image(e, base): e for e in sorted(_enumerate_raw(group))}
     assigned: set[tuple] = set()
     classes = []
-    for e in all_elements:
-        if e in assigned:
+    for k, e in lookup.items():
+        if k in assigned:
             continue
-        cls = _class_of_raw(group, e)
-        assigned.update(cls._elements_raw)
+        cls = _class_of_raw(group, e, lookup)
+        assigned.update(cls._tree)
         classes.append(cls)
     assert sum(c.class_size for c in classes) == group.order
     return classes
@@ -441,15 +523,20 @@ def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
     return _class_of_raw(group, g._img)
 
 
-def _class_of_raw(group: Bsgs, g: tuple) -> ConjugacyClass:
-    transversal = _conjugation_orbit(group, g)
-    elements = sorted(transversal)
+def _class_of_raw(
+    group: Bsgs, g: tuple, lookup: Optional[dict] = None
+) -> ConjugacyClass:
+    members, tree = _conjugation_orbit(group, g, lookup)
+    elements = sorted(members.values())
+    root = (_base_image(g, group._chain.base), _identity(group.degree))
     rep = elements[0]
     if rep != g:
-        # re-root the transversal at the canonical representative
-        to_g = _inv(transversal[rep])  # maps rep back to g: to_g rep to_g^-1 = g
-        transversal = {y: _mul(u, to_g) for y, u in transversal.items()}
-    return ConjugacyClass(group.degree, elements, transversal)
+        # re-root at the canonical representative: the root's conjugator
+        # becomes to_g, which maps rep back to g (to_g rep to_g^-1 = g)
+        k = _base_image(rep, group._chain.base)
+        to_g = _inv(_tree_conjugator(tree, group._gens_raw, k, dict([root])))
+        root = (root[0], to_g)
+    return ConjugacyClass(group, elements, tree, root)
 
 
 def random_element(group: Bsgs, rng) -> Permutation:

@@ -64,6 +64,9 @@ EXIT_USAGE = 4
 
 DEFAULT_RANDOMIZED_BUDGET = 1000
 
+# suite entry flags that must be JSON integers (not floats, strings or booleans)
+INTEGER_FLAGS = ("budget", "seed", "element_cap", "n")
+
 CONTRADICTION_MESSAGE = (
     "theorem contradiction detected: this indicates a bug in this tool, "
     "not a counterexample to the established theorems"
@@ -437,6 +440,14 @@ def _suite_entries(config, config_path: str) -> list:
                 f"{where}: 'randomized' must be true or false, "
                 f"got {flags['randomized']!r}"
             )
+        for name in INTEGER_FLAGS:
+            value = flags.get(name, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise GroupFileError(
+                    f"{where}: '{name}' must be an integer, got {value!r}"
+                )
+        if entry.get("command") == "sharpness" and "n" not in flags:
+            raise GroupFileError(f"{where}: a sharpness entry needs 'n' in its flags")
     return entries
 
 
@@ -444,14 +455,14 @@ def _run_entry(
     command, spec, flags, element_cap, memo
 ) -> tuple[int, VerificationReport]:
     mode = RANDOMIZED if flags.get("randomized") else flags.get("mode", EXHAUSTIVE)
-    budget = int(flags["budget"]) if "budget" in flags else None
-    seed = int(flags.get("seed", 0))
-    cap = int(flags.get("element_cap", element_cap))
+    budget = flags.get("budget")
+    seed = flags.get("seed", 0)
+    cap = flags.get("element_cap", element_cap)
     try:
         if command == "info":
             return cmd_info(spec, cap, memo)
         if command == "sharpness":
-            return cmd_sharpness(int(flags["n"]))
+            return cmd_sharpness(flags["n"])
         if command in ("bs", "four", "two", "pairs", "thompson"):
             return cmd_verify(command, spec, mode, budget, seed, cap, memo)
         raise GroupSpecError(f"unknown suite command {command!r}")

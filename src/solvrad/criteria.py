@@ -33,7 +33,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bsgs import (
     Bsgs,
@@ -41,6 +41,8 @@ from .bsgs import (
     ConjugacyClass,
     GeneratorSet,
     MembershipError,
+    _base_image,
+    _conjugate_key,
     centralizer,
     class_of,
     conjugacy_classes,
@@ -139,28 +141,34 @@ def _require_prime_order_gt3(g: Permutation) -> int:
     return n
 
 
-def _orbit_partition_reps(elements_sorted: list, cent_gens: list) -> list:
+def _orbit_partition_reps(
+    elements_sorted: list, cent_gens: list, base: Sequence[int]
+) -> list:
     """Lex-minimal representative of each centralizer-conjugation orbit on a
-    sorted class (or union of classes); reps come out in ascending order."""
+    sorted class (or union of classes); reps come out in ascending order.
+
+    `base` is a base of the ambient group: the domain is keyed by base
+    image, and each conjugate is looked up by its key, never built."""
     if not cent_gens:
         return list(elements_sorted)
-    inv = [_inv(s) for s in cent_gens]
+    index = {_base_image(e, base): e for e in elements_sorted}
+    steps = [(s, _base_image(_inv(s), base)) for s in cent_gens]
     visited = set()
     reps = []
-    for e in elements_sorted:
-        if e in visited:
+    for k, e in index.items():
+        if k in visited:
             continue
         reps.append(e)
-        visited.add(e)
+        visited.add(k)
         frontier = [e]
         while frontier:
             nxt = []
             for y in frontier:
-                for s, si in zip(cent_gens, inv):
-                    z = _mul(s, _mul(y, si))
-                    if z not in visited:
-                        visited.add(z)
-                        nxt.append(z)
+                for s, pull in steps:
+                    kz = _conjugate_key(s, y, pull)
+                    if kz not in visited:
+                        visited.add(kz)
+                        nxt.append(index[kz])
             frontier = nxt
     assert len(visited) == len(elements_sorted)
     return reps
@@ -177,7 +185,9 @@ def reduced_conjugate_orbit(
     The orbits partition the class; testing <x, h> for one h per orbit is
     equivalent to testing it for every h in the class.
     """
-    reps = _orbit_partition_reps(class_of_x._elements_raw, cent._gens_raw)
+    reps = _orbit_partition_reps(
+        class_of_x._elements_raw, cent._gens_raw, group._chain.base
+    )
     return [Permutation._from_raw(r) for r in reps]
 
 
@@ -240,7 +250,9 @@ def _class_scan(
 ) -> CriterionVerdict:
     """Exhaustive verdict on every <g, xgx^-1> being solvable (or
     nilpotent), over the C_G(g)-orbit representatives of the class of g."""
-    reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
+    reps = _orbit_partition_reps(
+        cls._elements_raw, cz._gens_raw, group._chain.base
+    )
     _check_budget(len(reps), budget, "orbit representatives")
     predicate = is_nilpotent if nilpotent else is_solvable
     failure = _first_failure(
@@ -388,7 +400,7 @@ def four_conjugate_element_test(
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     raw = cls._elements_raw
     cz = cent if cent is not None else centralizer(group, g, cls)
-    h1_reps = _orbit_partition_reps(raw, cz._gens_raw)
+    h1_reps = _orbit_partition_reps(raw, cz._gens_raw, group._chain.base)
     total = len(h1_reps) * len(raw) * len(raw)
     _check_budget(total, tuple_budget, "reduced triples")
     g_raw = g._img
@@ -493,7 +505,9 @@ def class_pair_solvability(
     for cls in classes:
         rep = cls.representative
         cz = centralizer(group, rep, cls)
-        reps = _orbit_partition_reps(cls._elements_raw, cz._gens_raw)
+        reps = _orbit_partition_reps(
+            cls._elements_raw, cz._gens_raw, group._chain.base
+        )
         _check_budget(checked + len(reps), budget, "class pairs")
         failure = _first_failure(
             group.degree, rep._img, ((h,) for h in reps), is_solvable
@@ -541,7 +555,7 @@ def thompson_test(
     for cls in classes:
         rep = cls.representative
         cz = centralizer(group, rep, cls)
-        ys = _orbit_partition_reps(elements, cz._gens_raw)
+        ys = _orbit_partition_reps(elements, cz._gens_raw, group._chain.base)
         failure = _first_failure(
             group.degree, rep._img, ((y,) for y in ys), is_solvable
         )

@@ -110,10 +110,23 @@ def fitting_oracle(group: Bsgs, classes: list[ConjugacyClass]) -> RadicalResult:
 
 
 def _radical_oracle(group, classes, predicate, kind) -> RadicalResult:
+    """A normal closure with the group's order is the group itself, so the
+    predicate runs on `group`, from its own generators, at most once."""
     member_reps = []
+    whole: Optional[bool] = None  # predicate(group), once it is needed
     for cls in classes:
         rep = cls.representative
-        if rep.is_identity() or predicate(normal_closure(group, [rep])):
+        if rep.is_identity():
+            member_reps.append(rep)
+            continue
+        closure = normal_closure(group, [rep])
+        if closure.order == group.order:
+            if whole is None:
+                whole = predicate(group)
+            passes = whole
+        else:
+            passes = predicate(closure)
+        if passes:
             member_reps.append(rep)
     subgroup = normal_closure(group, member_reps)
     return RadicalResult(

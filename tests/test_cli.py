@@ -277,6 +277,35 @@ class TestSuite:
         assert message in rep["details"]["error"]
         assert "entries" not in rep["details"]
 
+    @pytest.mark.parametrize(
+        "bad_entry, message",
+        [
+            ({"command": "two", "spec": "A(5)", "flags": {"budget": 2.9}},
+             "entry 1: 'budget' must be an integer, got 2.9"),
+            ({"command": "two", "spec": "A(5)",
+              "flags": {"randomized": True, "seed": True}},
+             "entry 1: 'seed' must be an integer, got True"),
+            ({"command": "two", "spec": "A(5)", "flags": {"budget": "ten"}},
+             "entry 1: 'budget' must be an integer, got 'ten'"),
+            ({"command": "info", "spec": "S(4)", "flags": {"element_cap": "x"}},
+             "entry 1: 'element_cap' must be an integer, got 'x'"),
+            ({"command": "sharpness"},
+             "entry 1: a sharpness entry needs 'n' in its flags"),
+        ],
+        ids=["float-budget", "bool-seed", "string-budget", "string-element-cap",
+             "sharpness-without-n"],
+    )
+    def test_bad_integer_flag_is_usage_error(
+        self, capsys, tmp_path, bad_entry, message
+    ):
+        # the whole config is refused before its valid first entry runs
+        code, rep = self.suite(
+            capsys, tmp_path, [{"command": "info", "spec": "S(3)"}, bad_entry]
+        )
+        assert code == EXIT_USAGE
+        assert message in rep["details"]["error"]
+        assert "entries" not in rep["details"]
+
     def test_unknown_mode_is_usage_error(self, capsys, tmp_path):
         code, rep = self.suite(capsys, tmp_path, [
             {"command": "two", "spec": "A(5)", "flags": {"mode": "bogus"}},
