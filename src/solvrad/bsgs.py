@@ -72,16 +72,23 @@ class _Chain:
 
     levels[i] generates the stabilizer of base[:i]; transversals[i] maps each
     point of the i-th basic orbit to a coset representative u with
-    u[base[i]] = point.
+    u[base[i]] = point, inverses[i] maps the same point to u^-1, and
+    points[i] lists the orbit's points in ascending order.  Sifting strips
+    with the stored inverses, so it never inverts a permutation.
     """
 
-    __slots__ = ("degree", "base", "levels", "transversals", "_ident")
+    __slots__ = (
+        "degree", "base", "levels", "transversals", "inverses", "points",
+        "_ident",
+    )
 
     def __init__(self, degree: int, gens: Sequence[tuple] = ()):
         self.degree = degree
         self.base: list[int] = []
         self.levels: list[list[tuple]] = []
         self.transversals: list[dict[int, tuple]] = []
+        self.inverses: list[dict[int, tuple]] = []
+        self.points: list[list[int]] = []
         self._ident = _identity(degree)
         new = [g for g in gens if g != self._ident]
         if new:
@@ -103,10 +110,10 @@ class _Chain:
             x = g[self.base[i]]
             if x == self.base[i]:
                 continue
-            u = self.transversals[i].get(x)
-            if u is None:
+            u_inv = self.inverses[i].get(x)
+            if u_inv is None:
                 return g, i
-            g = _mul(_inv(u), g)
+            g = _mul(u_inv, g)
         return g, len(self.base)
 
     def contains(self, g: tuple) -> bool:
@@ -116,25 +123,32 @@ class _Chain:
     def _recompute_orbit(self, i: int) -> None:
         b = self.base[i]
         gens = self.levels[i]
+        gens_inv = [_inv(s) for s in gens]
         T = {b: self._ident}
+        Tinv = {b: self._ident}
         frontier = [b]
         while frontier:
             nxt = []
             for pt in frontier:
                 u = T[pt]
-                for s in gens:
+                for s, s_inv in zip(gens, gens_inv):
                     img = s[pt]
                     if img not in T:
                         T[img] = _mul(s, u)
+                        Tinv[img] = _mul(Tinv[pt], s_inv)
                         nxt.append(img)
             frontier = nxt
         self.transversals[i] = T
+        self.inverses[i] = Tinv
+        self.points[i] = sorted(T)
 
     def _new_base_point(self, g: tuple) -> None:
         bp = next(i for i, v in enumerate(g) if i != v)
         self.base.append(bp)
         self.levels.append([])
         self.transversals.append({bp: self._ident})
+        self.inverses.append({bp: self._ident})
+        self.points.append([bp])
 
     def extend(self, new_gens: Iterable[tuple]) -> None:
         """Add generators and restore the strong-generating property."""
@@ -161,13 +175,13 @@ class _Chain:
         i = len(self.base) - 1
         while i >= 0:
             T = self.transversals[i]
+            Tinv = self.inverses[i]
             gens = self.levels[i]
-            inv_cache = {pt: _inv(u) for pt, u in T.items()}
             restart = None
-            for pt in sorted(T):
+            for pt in self.points[i]:
                 u = T[pt]
                 for s in gens:
-                    sg = _mul(inv_cache[s[pt]], _mul(s, u))
+                    sg = _mul(Tinv[s[pt]], _mul(s, u))
                     if sg == ident:
                         continue
                     residue, j = self.sift(sg, i + 1)
@@ -547,9 +561,9 @@ def random_element(group: Bsgs, rng) -> Permutation:
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
+    chain = group._chain
     g = _identity(group.degree)
-    for t in group._chain.transversals:
-        pts = sorted(t)
+    for t, pts in zip(chain.transversals, chain.points):
         g = _mul(g, t[pts[rng.randrange(len(pts))]])
     return Permutation._from_raw(g)
 
@@ -567,18 +581,14 @@ def enumerate_elements(
         yield Permutation._from_raw(g)
 
 
-def _enumerate_raw(group: Bsgs) -> Iterator[tuple]:
-    transversals = group._chain.transversals
-    ident = _identity(group.degree)
-    if not transversals:
-        yield ident
-        return
-
-    def rec(i: int, prefix: tuple) -> Iterator[tuple]:
-        if i == len(transversals):
-            yield prefix
-            return
-        for pt in sorted(transversals[i]):
-            yield from rec(i + 1, _mul(prefix, transversals[i][pt]))
-
-    yield from rec(0, ident)
+def _enumerate_raw(group: Bsgs) -> list[tuple]:
+    """Every element as a transversal product u_0 u_1 ... u_k, ordered by
+    the indices of the u_i among their levels' sorted orbit points, the
+    first level varying slowest.  The products are built from the last level
+    up, so the longest list held besides the result has |G| / |orbit 0|
+    entries."""
+    chain = group._chain
+    products = [_identity(group.degree)]
+    for t, pts in zip(reversed(chain.transversals), reversed(chain.points)):
+        products = [_mul(t[pt], p) for pt in pts for p in products]
+    return products

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -580,30 +581,42 @@ def transposition_triple_sharpness(n: int) -> SharpnessReport:
     """Exhaust all unordered triples of transpositions of S(n) and check
     each generates a solvable subgroup (three transpositions can never
     supply a nonsolvable witness, which is why four conjugates are needed
-    in general)."""
+    in general).
+
+    Triples in one S(n)-orbit generate conjugate subgroups, with the same
+    order and solvability, so only the first triple of each orbit is built.
+    A triple is the edge set of a 3-edge graph on {1..n}, and its orbit is
+    the graph's isomorphism type, which the sorted degrees of its touched
+    points determine (`_triple_shape`).  `triples_checked` still counts
+    every triple."""
     if not 5 <= n <= 8:
         raise ValueError(f"n must be between 5 and 8, got {n}")
-    transpositions = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            img = list(range(n))
-            img[i], img[j] = j, i
-            transpositions.append(tuple(img))
     triples = 0
-    max_order = 0
-    all_solvable = True
-    for t1, t2, t3 in combinations(transpositions, 3):
+    verdicts: dict[tuple, tuple[int, bool]] = {}  # shape -> (order, solvable)
+    for triple in combinations(combinations(range(n), 2), 3):
         triples += 1
-        sub = _span(n, [t1, t2, t3])
-        if sub.order > max_order:
-            max_order = sub.order
-        if not is_solvable(sub):
-            all_solvable = False
+        shape = _triple_shape(triple)
+        if shape not in verdicts:
+            sub = _span(n, [_transposition(n, i, j) for i, j in triple])
+            verdicts[shape] = (sub.order, is_solvable(sub))
     return SharpnessReport(
         triples_checked=triples,
-        all_solvable=all_solvable,
-        max_generated_order=max_order,
+        all_solvable=all(solvable for _, solvable in verdicts.values()),
+        max_generated_order=max(order for order, _ in verdicts.values()),
     )
+
+
+def _transposition(n: int, i: int, j: int) -> tuple:
+    img = list(range(n))
+    img[i], img[j] = j, i
+    return tuple(img)
+
+
+def _triple_shape(edges) -> tuple:
+    """The sorted degrees of the points a set of three edges touches.  Two
+    3-edge graphs are isomorphic exactly when these agree: K3 (2,2,2),
+    P4 (1,1,2,2), K1,3 (1,1,1,3), P3+K2 (1,1,1,1,2), 3K2 (1,1,1,1,1,1)."""
+    return tuple(sorted(Counter(pt for edge in edges for pt in edge).values()))
 
 
 def prime_order_elements(classes: list[ConjugacyClass]) -> list[ElementProfile]:

@@ -18,7 +18,7 @@ from solvrad.bsgs import (
     random_element,
     same_subgroup,
 )
-from solvrad.perm import DegreeMismatchError, Permutation, parse_cycles
+from solvrad.perm import DegreeMismatchError, Permutation, _inv, _mul, parse_cycles
 
 SMALL_SPECS = [
     "S(3)", "S(4)", "S(5)", "A(4)", "A(5)", "C(12)", "D(4)", "D(5)", "D(6)",
@@ -315,7 +315,124 @@ class TestRandomGeneratorStress:
         assert {p.images for p in enumerate_elements(c)} == brute
 
 
+def _reference_sift(chain, g, start=0):
+    """Strip g through the chain, inverting each coset representative."""
+    for i in range(start, len(chain.base)):
+        x = g[chain.base[i]]
+        if x == chain.base[i]:
+            continue
+        u = chain.transversals[i].get(x)
+        if u is None:
+            return g, i
+        g = _mul(_inv(u), g)
+    return g, len(chain.base)
+
+
+def _check_chain(group, seed=0, samples=20):
+    """Every level stores u^-1 for each coset representative u and its
+    sorted orbit points, and sift (which strips with the stored inverses)
+    agrees with a sift that inverts on the fly, from every level, on random
+    members and on random permutations of the degree."""
+    chain = group._chain
+    ident = tuple(range(chain.degree))
+    assert len(chain.inverses) == len(chain.points) == len(chain.base)
+    for t, t_inv, pts in zip(chain.transversals, chain.inverses, chain.points):
+        assert t_inv.keys() == t.keys()
+        assert pts == sorted(t)
+        for pt, u in t.items():
+            assert _mul(t_inv[pt], u) == ident
+    rng = random.Random(seed)
+    candidates = [random_element(group, rng)._img for _ in range(samples)]
+    for _ in range(samples):
+        images = list(ident)
+        rng.shuffle(images)
+        candidates.append(tuple(images))
+    for g in candidates:
+        for start in range(len(chain.base) + 1):
+            assert chain.sift(g, start) == _reference_sift(chain, g, start)
+
+
+class TestChainInverses:
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_built_groups(self, spec, group_of):
+        _check_chain(group_of(spec))
+
+    @pytest.mark.parametrize(
+        "spec, cycle", [("S(5)", "(1,2,3)"), ("direct(C(5),A(5))", "(1,2,3,4,5)"),
+                        ("PSL2(7)", None), ("D(6)", None)]
+    )
+    def test_normal_closures_and_centralizers(self, spec, cycle, group_of):
+        g = group_of(spec)
+        x = parse_cycles(cycle, g.degree) if cycle else g.generators[0]
+        _check_chain(normal_closure(g, [x]))
+        _check_chain(centralizer(g, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.permutations(list(range(1, n + 1))).map(Permutation),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_random_groups(self, gens):
+        g = build_bsgs(GeneratorSet(gens[0].degree, gens))
+        _check_chain(g)
+        _check_chain(normal_closure(g, gens[-1:]))
+        _check_chain(centralizer(g, gens[0]))
+
+    def test_sz8(self, sz8):
+        _check_chain(sz8, samples=50)
+
+
+def _reference_enumeration(group):
+    """Transversal products u_0 u_1 ... u_k, each level's points in
+    ascending order, the first level varying slowest."""
+    chain = group._chain
+
+    def rec(i, prefix):
+        if i == len(chain.base):
+            yield prefix
+            return
+        for pt in sorted(chain.transversals[i]):
+            yield from rec(i + 1, _mul(prefix, chain.transversals[i][pt]))
+
+    return list(rec(0, tuple(range(group.degree))))
+
+
+# The first 20 draws of random.Random(5), as image strings: a seeded
+# randomized search depends on this exact sequence.
+SEED_5_DRAWS = {
+    "direct(S(4),S(4))": [
+        "34127568", "13426587", "43125867", "43127658", "21348756",
+        "23146578", "23146578", "12437856", "14327856", "13247865",
+        "21438567", "14327856", "34128675", "23146578", "31427856",
+        "32145786", "31246758", "32417856", "32148756", "13246875",
+    ],
+    "PSL2(7)": [
+        "54186327", "18632547", "43652871", "34216785", "81276453",
+        "72813645", "45812763", "41863257", "38154762", "38247516",
+        "31756824", "84173265", "18725364", "48351627", "38247516",
+        "51748263", "46273581", "41863257", "14257863", "35724618",
+    ],
+}
+
+
 class TestRandomAndEnumerate:
+    @pytest.mark.parametrize("spec", sorted(SEED_5_DRAWS))
+    def test_seeded_draws_pinned(self, spec, group_of):
+        g = group_of(spec)
+        rng = random.Random(5)
+        draws = ["".join(map(str, random_element(g, rng).images)) for _ in range(20)]
+        assert draws == SEED_5_DRAWS[spec]
+
+    @pytest.mark.parametrize("spec", ["S(4)", "D(6)", "PSL2(7)", "direct(C(4),S(3))"])
+    def test_enumeration_order(self, spec, group_of):
+        g = group_of(spec)
+        assert [p._img for p in enumerate_elements(g)] == _reference_enumeration(g)
+
     def test_samples_are_members(self, group_of):
         g = group_of("A(5)")
         rng = random.Random(3)

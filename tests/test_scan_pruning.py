@@ -7,10 +7,12 @@ scans below are the unpruned loops: every candidate in canonical order (or
 every random sample) gets its own subgroup, centralizer orbits come from
 brute-force centralizers, and the Thompson scan visits every (class
 representative, element) pair.  Verdicts, witnesses (conjugators and
-generated order) and counters must agree.
+generated order) and counters must agree.  The sharpness check builds one
+triple of transpositions per graph shape; its reference builds them all.
 """
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +27,15 @@ from solvrad.bsgs import (
 )
 from solvrad.criteria import (
     BudgetExceededError,
+    SharpnessReport,
     _random_search,
+    _triple_shape,
     baer_suzuki_set,
     class_pair_solvability,
     four_conjugate_element_test,
     nonsolvable_witness_search,
     thompson_test,
+    transposition_triple_sharpness,
     two_conjugate_test,
 )
 from solvrad.perm import Permutation, _inv, _mul, is_prime
@@ -269,6 +274,52 @@ def test_thompson_pairs_checked_pinned(spec, pairs_checked, generated_order, gro
     v = thompson_test(group_of(spec), 10_000)
     assert not v.all_pairs_solvable
     assert (v.pairs_checked, v.generated_order) == (pairs_checked, generated_order)
+
+
+def reference_sharpness(n):
+    """Every triple of transpositions of S(n) gets its own subgroup."""
+    transpositions = []
+    for i, j in combinations(range(n), 2):
+        img = list(range(n))
+        img[i], img[j] = j, i
+        transpositions.append(tuple(img))
+    subs = [_span(n, triple) for triple in combinations(transpositions, 3)]
+    return SharpnessReport(
+        triples_checked=len(subs),
+        all_solvable=all(is_solvable(sub) for sub in subs),
+        max_generated_order=max(sub.order for sub in subs),
+    )
+
+
+@pytest.mark.parametrize("n, triples", [(5, 120), (6, 455), (7, 1330), (8, 3276)])
+def test_sharpness_matches_exhaustive_loop(n, triples):
+    report = transposition_triple_sharpness(n)
+    assert report == reference_sharpness(n)
+    assert report == SharpnessReport(triples, True, 24)
+
+
+def _canonical_form(edges, n):
+    """The lexicographically smallest relabelling of an edge set over all
+    n! permutations of its points."""
+    return min(
+        tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+        for p in permutations(range(n))
+    )
+
+
+def test_triple_shape_is_a_complete_invariant():
+    # two triples share a shape exactly when some relabelling of the points
+    # maps one edge set onto the other, i.e. when they lie in one S(6)-orbit
+    triples = list(combinations(combinations(range(6), 2), 3))
+    assert len(triples) == 455
+    shapes = [_triple_shape(t) for t in triples]
+    forms = [_canonical_form(t, 6) for t in triples]
+    assert len(set(forms)) == 5
+    assert len(set(zip(shapes, forms))) == len(set(shapes)) == len(set(forms))
+    # the degree sequences of K3, P4, K1,3, P3+K2 and 3K2
+    assert set(shapes) == {
+        (2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 3), (1, 1, 1, 1, 2), (1,) * 6
+    }
 
 
 class TestBudgets:
