@@ -69,6 +69,7 @@ from .criteria import (
     reduced_conjugate_orbit,
     thompson_test,
     transposition_triple_sharpness,
+    two_conjugate_radical,
     two_conjugate_test,
 )
 from .zoo import (

@@ -513,7 +513,8 @@ def conjugacy_classes(
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}; "
-            "use a randomized mode instead"
+            "every command enumerates the conjugacy classes first, so raise "
+            "--element-cap"
         )
     base = group._chain.base
     # base image -> element, in sorted element order

@@ -31,25 +31,23 @@ from .bsgs import (
     DEFAULT_ELEMENT_CAP,
     build_bsgs,
     conjugacy_classes,
-    normal_closure,
-    same_subgroup,
 )
 from .criteria import (
     BudgetExceededError,
     CriterionVerdict,
-    DEFAULT_TUPLE_BUDGET,
     EXHAUSTIVE,
     RANDOMIZED,
     Witness,
+    _budget_or_default,
     baer_suzuki_set,
     class_pair_solvability,
     four_conjugate_radical,
     prime_order_elements,
     thompson_test,
     transposition_triple_sharpness,
-    two_conjugate_test,
+    two_conjugate_radical,
 )
-from .perm import CycleFormatError, is_prime, print_cycles
+from .perm import CycleFormatError, print_cycles
 from .structure import (
     derived_series,
     fitting_oracle,
@@ -62,7 +60,10 @@ EXIT_CONTRADICTION = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
-DEFAULT_RANDOMIZED_BUDGET = 1000
+# the expected failures of a run, and their exit codes; any other exception
+# is a bug in this tool and propagates
+BUDGET_ERRORS = (BudgetExceededError, CapExceededError)
+USAGE_ERRORS = (GroupSpecError, GroupFileError, CycleFormatError, ValueError)
 
 # suite entry flags that must be JSON integers (not floats, strings or booleans)
 INTEGER_FLAGS = ("budget", "seed", "element_cap", "n")
@@ -77,14 +78,14 @@ CONTRADICTION_MESSAGE = (
 class VerificationReport:
     """One structured document per invocation; round-trips through JSON."""
 
-    tool_version: str
     command: str
-    group: Optional[dict]
-    search_mode: Optional[str]
-    rng_seed: Optional[int]
-    per_element_results: list
-    oracle_comparison: Optional[dict]
-    timing_ms: float
+    tool_version: str = __version__
+    group: Optional[dict] = None
+    search_mode: Optional[str] = None
+    rng_seed: Optional[int] = None
+    per_element_results: list = field(default_factory=list)
+    oracle_comparison: Optional[dict] = None
+    timing_ms: float = 0.0
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -156,13 +157,8 @@ def cmd_info(
     group, classes = _group_and_classes(spec, element_cap, memo)
     profiles = prime_order_elements(classes)
     report = VerificationReport(
-        tool_version=__version__,
         command="info",
         group=_group_info(spec, group),
-        search_mode=None,
-        rng_seed=None,
-        per_element_results=[],
-        oracle_comparison=None,
         timing_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "class_count": len(classes),
@@ -174,14 +170,6 @@ def cmd_info(
     return EXIT_OK, report
 
 
-def _oracle_vs_criterion(group: Bsgs, oracle_sub: Bsgs, criterion_sub: Bsgs) -> dict:
-    return {
-        "oracle_order": oracle_sub.order,
-        "criterion_order": criterion_sub.order,
-        "equal": same_subgroup(oracle_sub, criterion_sub),
-    }
-
-
 def _solvability_oracle(group: Bsgs) -> tuple[bool, int]:
     """Whether the group is solvable, and the order of the last term of its
     derived series (the group's order when solvable), from one series."""
@@ -189,6 +177,75 @@ def _solvability_oracle(group: Bsgs) -> tuple[bool, int]:
     if series.terminated:
         return True, group.order
     return False, series.terms[-1].order
+
+
+def _pairs_outcome(pv) -> tuple[bool, Optional[int], dict]:
+    return pv.all_classes_pass, pv.witness and pv.witness.generated_order, {
+        "pairs_checked": pv.pairs_checked,
+        "witness_element": (
+            print_cycles(pv.witness_element) if pv.witness_element else None
+        ),
+        "witness": _witness_dict(pv.witness),
+    }
+
+
+def _thompson_outcome(tv) -> tuple[bool, Optional[int], dict]:
+    return tv.all_pairs_solvable, tv.generated_order, {
+        "pairs_checked": tv.pairs_checked,
+        "witness_pair": (
+            [print_cycles(p) for p in tv.witness_pair] if tv.witness_pair else None
+        ),
+        "generated_order": tv.generated_order,
+    }
+
+
+# The theorems of `verify`.  A radical row runs a criterion and its oracle
+# and gives both RadicalResults, which are compared class by class.  A
+# whole-group row runs a criterion on the whole group and gives whether it
+# holds, the order of the failing subgroup, and its details; it is compared
+# with the group's solvability.  Each row calls module globals by name when
+# it runs, never a function captured at import, so a rebound global (a
+# tracer's span, a test's stand-in) is the one that runs.
+RADICAL_THEOREMS = {
+    "bs": lambda group, classes, mode, budget, seed: (
+        baer_suzuki_set(group, classes, budget),
+        fitting_oracle(group, classes),
+    ),
+    "four": lambda group, classes, mode, budget, seed: (
+        four_conjugate_radical(group, classes, mode, budget, seed),
+        solvable_radical_oracle(group, classes),
+    ),
+    "two": lambda group, classes, mode, budget, seed: (
+        two_conjugate_radical(group, classes, mode, budget, seed),
+        solvable_radical_oracle(group, classes),
+    ),
+}
+WHOLE_GROUP_THEOREMS = {
+    "pairs": lambda group, classes, budget, element_cap: _pairs_outcome(
+        class_pair_solvability(group, classes, budget)
+    ),
+    "thompson": lambda group, classes, budget, element_cap: _thompson_outcome(
+        thompson_test(group, element_cap, classes)
+    ),
+}
+THEOREMS = (*RADICAL_THEOREMS, *WHOLE_GROUP_THEOREMS)
+# the theorems with a randomized search; the others always scan exhaustively
+SAMPLED_THEOREMS = ("four", "two")
+
+
+def _compare_radicals(result, oracle, mode: str) -> bool:
+    """Whether every verdict agrees with the oracle's membership of its
+    element.  An exhaustive verdict must equal it.  A randomized run only
+    falsifies, so there only a witness against an oracle member disagrees.
+
+    For the exhaustive rows this implies equal subgroups: each side is the
+    normal closure of the class representatives it admits."""
+    in_oracle = oracle.subgroup.contains
+    return all(
+        v.in_radical_claimed == in_oracle(v.element)
+        or (mode == RANDOMIZED and v.in_radical_claimed)
+        for v in result.verdicts
+    )
 
 
 def cmd_verify(
@@ -206,133 +263,44 @@ def cmd_verify(
         )
     _require_positive("budget", budget)
     _require_positive("element_cap", element_cap)
-    # bs, pairs and thompson always scan exhaustively, and report so; a
-    # --budget given with --randomized counts samples, so it bounds no scan
-    if theorem not in ("four", "two") and mode == RANDOMIZED:
+    # an exhaustive-only theorem reports so under --randomized; a --budget
+    # given with --randomized counts samples, so it bounds no scan
+    if theorem not in SAMPLED_THEOREMS and mode == RANDOMIZED:
         mode, budget = EXHAUSTIVE, None
-    if budget is None:
-        budget = (
-            DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
-        )
+    budget = _budget_or_default(budget, mode)
     t0 = time.perf_counter()
     group, classes = _group_and_classes(spec, element_cap, memo)
     _progress(f"verify {theorem} {spec}: order {group.order}")
 
-    per_element: list = []
-    details: dict = {}
-    comparison: dict
-
-    if theorem == "bs":
-        result = baer_suzuki_set(group, classes, budget)
-        oracle = fitting_oracle(group, classes)
-        comparison = _oracle_vs_criterion(group, oracle.subgroup, result.subgroup)
-        per_element = [_verdict_dict(v) for v in result.verdicts]
-    elif theorem == "four":
-        result = four_conjugate_radical(
-            group, classes, mode=mode, tuple_budget=budget, rng_seed=seed
+    if theorem in RADICAL_THEOREMS:
+        result, oracle = RADICAL_THEOREMS[theorem](
+            group, classes, mode, budget, seed
         )
-        oracle = solvable_radical_oracle(group, classes)
-        if mode == EXHAUSTIVE:
-            comparison = _oracle_vs_criterion(
-                group, oracle.subgroup, result.subgroup
-            )
-        else:
-            # randomized runs only falsify: a witness against an actual
-            # radical member would contradict the theorem
-            no_contradiction = all(
-                v.witness is None or not oracle.subgroup.contains(v.element)
-                for v in result.verdicts
-            )
-            comparison = {
-                "oracle_order": oracle.subgroup.order,
-                "criterion_order": result.subgroup.order,
-                "equal": no_contradiction,
-            }
         per_element = [_verdict_dict(v) for v in result.verdicts]
-    elif theorem == "two":
-        oracle = solvable_radical_oracle(group, classes)
-        verdicts = []
-        for cls in classes:
-            rep = cls.representative
-            n = rep.order()
-            if not (is_prime(n) and n > 3):
-                continue
-            verdicts.append(
-                two_conjugate_test(
-                    group,
-                    rep,
-                    mode=mode,
-                    budget=budget,
-                    rng_seed=seed,
-                    class_of_g=cls,
-                )
-            )
-        per_element = [_verdict_dict(v) for v in verdicts]
-        claimed = [v.element for v in verdicts if v.in_radical_claimed]
-        criterion_sub = normal_closure(group, claimed)
-        if mode == EXHAUSTIVE:
-            ok = all(
-                v.in_radical_claimed == oracle.subgroup.contains(v.element)
-                for v in verdicts
-            )
-        else:
-            ok = all(
-                v.witness is None or not oracle.subgroup.contains(v.element)
-                for v in verdicts
-            )
         comparison = {
             "oracle_order": oracle.subgroup.order,
-            "criterion_order": criterion_sub.order,
-            "equal": ok,
+            "criterion_order": result.subgroup.order,
+            "equal": _compare_radicals(result, oracle, mode),
         }
-        details["tested_class_reps"] = len(verdicts)
-    elif theorem == "pairs":
-        pv = class_pair_solvability(group, classes, budget)
+        details = {}
+        if len(result.verdicts) < len(classes):
+            details["tested_class_reps"] = len(result.verdicts)
+    elif theorem in WHOLE_GROUP_THEOREMS:
+        holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](
+            group, classes, budget, element_cap
+        )
         solvable, oracle_order = _solvability_oracle(group)
+        per_element = []
         comparison = {
             "oracle_order": oracle_order,
-            "criterion_order": (
-                group.order
-                if pv.all_classes_pass
-                else pv.witness.generated_order
-            ),
-            "equal": pv.all_classes_pass == solvable,
+            "criterion_order": group.order if holds else failing_order,
+            "equal": holds == solvable,
         }
-        details = {
-            "criterion_holds": pv.all_classes_pass,
-            "group_is_solvable": solvable,
-            "pairs_checked": pv.pairs_checked,
-            "witness_element": (
-                print_cycles(pv.witness_element) if pv.witness_element else None
-            ),
-            "witness": _witness_dict(pv.witness),
-        }
-    elif theorem == "thompson":
-        tv = thompson_test(group, element_cap, classes)
-        solvable, oracle_order = _solvability_oracle(group)
-        comparison = {
-            "oracle_order": oracle_order,
-            "criterion_order": (
-                group.order if tv.all_pairs_solvable else tv.generated_order
-            ),
-            "equal": tv.all_pairs_solvable == solvable,
-        }
-        details = {
-            "criterion_holds": tv.all_pairs_solvable,
-            "group_is_solvable": solvable,
-            "pairs_checked": tv.pairs_checked,
-            "witness_pair": (
-                [print_cycles(p) for p in tv.witness_pair]
-                if tv.witness_pair
-                else None
-            ),
-            "generated_order": tv.generated_order,
-        }
+        details.update(criterion_holds=holds, group_is_solvable=solvable)
     else:
         raise GroupSpecError(f"unknown theorem {theorem!r}")
 
     report = VerificationReport(
-        tool_version=__version__,
         command=f"verify {theorem}",
         group=_group_info(spec, group),
         search_mode=mode,
@@ -353,13 +321,9 @@ def cmd_sharpness(n: int) -> tuple[int, VerificationReport]:
     t0 = time.perf_counter()
     rep = transposition_triple_sharpness(n)
     report = VerificationReport(
-        tool_version=__version__,
         command="sharpness",
         group={"spec_text": f"S({n})", "degree": n, "order": None},
         search_mode=EXHAUSTIVE,
-        rng_seed=None,
-        per_element_results=[],
-        oracle_comparison=None,
         timing_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "n": n,
@@ -402,13 +366,8 @@ def cmd_suite(
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
     report = VerificationReport(
-        tool_version=__version__,
         command="suite",
-        group=None,
-        search_mode=None,
         rng_seed=seed,
-        per_element_results=[],
-        oracle_comparison=None,
         timing_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "config": config_path,
@@ -463,26 +422,20 @@ def _run_entry(
             return cmd_info(spec, cap, memo)
         if command == "sharpness":
             return cmd_sharpness(flags["n"])
-        if command in ("bs", "four", "two", "pairs", "thompson"):
+        if command in THEOREMS:
             return cmd_verify(command, spec, mode, budget, seed, cap, memo)
         raise GroupSpecError(f"unknown suite command {command!r}")
-    except (BudgetExceededError, CapExceededError) as e:
-        return EXIT_BUDGET, _error_report(command or "?", spec, str(e))
-    except (GroupSpecError, GroupFileError, CycleFormatError, ValueError, KeyError) as e:
-        return EXIT_USAGE, _error_report(command or "?", spec, str(e))
+    except BUDGET_ERRORS + USAGE_ERRORS as e:
+        return _failure(command or "?", spec, e)
 
 
-def _error_report(command: str, spec, message: str) -> VerificationReport:
-    return VerificationReport(
-        tool_version=__version__,
+def _failure(command: str, spec, error: Exception) -> tuple[int, VerificationReport]:
+    """The exit code and report of an expected failure."""
+    code = EXIT_BUDGET if isinstance(error, BUDGET_ERRORS) else EXIT_USAGE
+    return code, VerificationReport(
         command=command,
         group={"spec_text": spec, "degree": None, "order": None},
-        search_mode=None,
-        rng_seed=None,
-        per_element_results=[],
-        oracle_comparison=None,
-        timing_ms=0.0,
-        details={"error": message},
+        details={"error": str(error)},
     )
 
 
@@ -515,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_info, with_search=False)
 
     p_verify = sub.add_parser("verify", help="check one criterion against its oracle")
-    p_verify.add_argument("theorem", choices=["bs", "four", "two", "pairs", "thompson"])
+    p_verify.add_argument("theorem", choices=THEOREMS)
     p_verify.add_argument("spec")
     common(p_verify)
 
@@ -561,18 +514,20 @@ def main(argv: Optional[list] = None) -> int:
             code, report = cmd_suite(args.config, args.seed, args.element_cap)
         else:  # pragma: no cover - argparse enforces choices
             return EXIT_USAGE
-    except (BudgetExceededError, CapExceededError) as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        code, report = EXIT_BUDGET, _error_report(args.command, spec, str(e))
-    except (GroupSpecError, GroupFileError, CycleFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        code, report = EXIT_USAGE, _error_report(args.command, spec, str(e))
+    except BUDGET_ERRORS + USAGE_ERRORS as e:
+        code, report = _failure(args.command, spec, e)
+        kind = "budget exceeded" if code == EXIT_BUDGET else "error"
+        print(f"{kind}: {e}", file=sys.stderr)
 
     text = report.to_json()
     print(text)
     if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write the report to {args.out}: {e}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

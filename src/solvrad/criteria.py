@@ -64,10 +64,19 @@ EXHAUSTIVE = "exhaustive"
 RANDOMIZED = "randomized"
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
+DEFAULT_RANDOMIZED_BUDGET = 1000  # samples per element of a randomized search
 
 
 class BudgetExceededError(RuntimeError):
     """The exhaustive search space is larger than the configured budget."""
+
+
+def _budget_or_default(budget: Optional[int], mode: str) -> int:
+    """`budget`, or when it is None the default of `mode`: a tuple budget
+    for an exhaustive scan, a sample count for a randomized search."""
+    if budget is not None:
+        return budget
+    return DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
 
 
 @dataclass
@@ -318,18 +327,16 @@ def two_conjugate_test(
     Requires g to be a member of prime order > 3.  Exhaustive mode decides
     by scanning centralizer-orbit representatives of the class of g, at
     most `budget` of them (default DEFAULT_TUPLE_BUDGET); randomized mode
-    samples `budget` x (default 1000) and can only report a witness.
+    samples `budget` x (default DEFAULT_RANDOMIZED_BUDGET) and can only
+    report a witness.
     """
     _require_member(group, g)
     _require_prime_order_gt3(g)
+    budget = _budget_or_default(budget, mode)
     if mode == RANDOMIZED:
-        return _random_search(
-            group, g, 1, 1000 if budget is None else budget, rng_seed
-        )
+        return _random_search(group, g, 1, budget, rng_seed)
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     cz = cent if cent is not None else centralizer(group, g, cls)
-    if budget is None:
-        budget = DEFAULT_TUPLE_BUDGET
     return _class_scan(group, g, cls, cz, budget)
 
 
@@ -343,6 +350,28 @@ def nonsolvable_witness_search(
     return _random_search(group, g, 1, budget, rng_seed).witness
 
 
+def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
+    """The normal closure of the class representatives a criterion claims
+    for the radical.  `test(cls)` gives the verdict on the class's
+    representative, or None for a class the criterion does not test."""
+    verdicts = []
+    member_reps = []
+    for cls in classes:
+        v = test(cls)
+        if v is None:
+            continue
+        verdicts.append(v)
+        if v.in_radical_claimed:
+            member_reps.append(v.element)
+    return RadicalResult(
+        subgroup=normal_closure(group, member_reps),
+        kind=kind,
+        member_class_reps=member_reps,
+        method=CRITERION,
+        verdicts=verdicts,
+    )
+
+
 def baer_suzuki_set(
     group: Bsgs,
     classes: list[ConjugacyClass],
@@ -352,42 +381,57 @@ def baer_suzuki_set(
     <g, xgx^-1> nilpotent; by the classical Baer-Suzuki theorem this is the
     nilpotent radical.  Each class scans at most `budget` orbit
     representatives."""
-    verdicts = []
-    member_reps = []
-    for cls in classes:
+
+    def test(cls):
         rep = cls.representative
         if rep.is_identity():
-            v = CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
-        else:
-            cz = centralizer(group, rep, cls)
-            v = _class_scan(group, rep, cls, cz, budget, nilpotent=True)
-        verdicts.append(v)
-        if v.in_radical_claimed:
-            member_reps.append(rep)
-    subgroup = normal_closure(group, member_reps)
-    return RadicalResult(
-        subgroup=subgroup,
-        kind=FITTING,
-        member_class_reps=member_reps,
-        method=CRITERION,
-        verdicts=verdicts,
-    )
+            return CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
+        cz = centralizer(group, rep, cls)
+        return _class_scan(group, rep, cls, cz, budget, nilpotent=True)
+
+    return _criterion_radical(group, classes, FITTING, test)
+
+
+def two_conjugate_radical(
+    group: Bsgs,
+    classes: list[ConjugacyClass],
+    mode: str = EXHAUSTIVE,
+    budget: Optional[int] = None,
+    rng_seed: int = 0,
+) -> RadicalResult:
+    """Subgroup generated by the classes of prime order > 3 that pass the
+    two-conjugate test; the claim under test is that these are exactly the
+    classes of prime order > 3 in the solvable radical.  Classes of other
+    orders are not tested and have no verdict."""
+
+    def test(cls):
+        n = cls.representative.order()
+        if not (is_prime(n) and n > 3):
+            return None
+        return two_conjugate_test(
+            group, cls.representative, mode, budget, rng_seed, class_of_g=cls
+        )
+
+    return _criterion_radical(group, classes, SOLVABLE_RADICAL, test)
 
 
 def four_conjugate_element_test(
     group: Bsgs,
     g: Permutation,
     mode: str = EXHAUSTIVE,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+    tuple_budget: Optional[int] = None,
     rng_seed: int = 0,
     class_of_g: Optional[ConjugacyClass] = None,
     cent: Optional[Bsgs] = None,
 ) -> CriterionVerdict:
     """Is <g, aga^-1, bgb^-1, cgc^-1> solvable for all a, b, c in G?
 
+    Randomized mode samples `tuple_budget` triples (default
+    DEFAULT_RANDOMIZED_BUDGET) and can only report a witness.
     Exhaustive mode scans (h1, h2, h3) over class(g)^3 with the first
     coordinate reduced to centralizer-orbit representatives; it requires
-    that space, len(h1 reps) * |class(g)|^2, to be <= tuple_budget.  A
+    that space, len(h1 reps) * |class(g)|^2, to be <= tuple_budget
+    (default DEFAULT_TUPLE_BUDGET).  A
     subgroup containing a nonsolvable subgroup is nonsolvable, so prefixes
     <g,h1> / <g,h1,h2> that already fail are reported with the
     lexicographically first completion, which is exactly where the naive
@@ -395,6 +439,7 @@ def four_conjugate_element_test(
     levels: a prefix or tuple inside one of them is not built.
     """
     _require_member(group, g)
+    tuple_budget = _budget_or_default(tuple_budget, mode)
     if mode == RANDOMIZED:
         return _random_search(group, g, 3, tuple_budget, rng_seed)
 
@@ -463,32 +508,18 @@ def four_conjugate_radical(
     group: Bsgs,
     classes: list[ConjugacyClass],
     mode: str = EXHAUSTIVE,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+    tuple_budget: Optional[int] = None,
     rng_seed: int = 0,
 ) -> RadicalResult:
     """Subgroup generated by the classes passing the four-conjugate test;
     the claim under test is that it equals the solvable radical."""
-    verdicts = []
-    member_reps = []
-    for cls in classes:
-        v = four_conjugate_element_test(
-            group,
-            cls.representative,
-            mode=mode,
-            tuple_budget=tuple_budget,
-            rng_seed=rng_seed,
-            class_of_g=cls,
-        )
-        verdicts.append(v)
-        if v.in_radical_claimed:
-            member_reps.append(cls.representative)
-    subgroup = normal_closure(group, member_reps)
-    return RadicalResult(
-        subgroup=subgroup,
-        kind=SOLVABLE_RADICAL,
-        member_class_reps=member_reps,
-        method=CRITERION,
-        verdicts=verdicts,
+    return _criterion_radical(
+        group,
+        classes,
+        SOLVABLE_RADICAL,
+        lambda cls: four_conjugate_element_test(
+            group, cls.representative, mode, tuple_budget, rng_seed, cls
+        ),
     )
 
 
