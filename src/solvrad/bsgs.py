@@ -212,16 +212,19 @@ class _Chain:
 class Bsgs:
     """Immutable base / strong generating set handle on a permutation group.
 
-    Built once, then safe to share: queries never mutate it.
+    Built once, then safe to share: queries never change the group, and the
+    only state they add is the draw tables of `random_element`, built on
+    the first draw.
     """
 
-    __slots__ = ("degree", "_chain", "_gens_raw", "_order")
+    __slots__ = ("degree", "_chain", "_gens_raw", "_order", "_draw_blocks")
 
     def __init__(self, gens: GeneratorSet):
         self.degree = gens.degree
         self._gens_raw = [g._img for g in gens.generators]
         self._chain = _Chain(gens.degree, self._gens_raw)
         self._order = self._chain.order()
+        self._draw_blocks = None
 
     @classmethod
     def _wrap(cls, degree: int, chain: _Chain, defining_raw: list[tuple]) -> "Bsgs":
@@ -231,6 +234,7 @@ class Bsgs:
         group._chain = chain
         group._gens_raw = defining_raw
         group._order = chain.order()
+        group._draw_blocks = None
         return group
 
     @property
@@ -557,16 +561,47 @@ def _class_of_raw(
 def random_element(group: Bsgs, rng) -> Permutation:
     """Uniform random element via transversal sampling (exactly uniform).
 
+    The element is u_0 u_1 ... u_k, one coset representative per chain
+    level, the i-th drawn by rng.randrange over level i's sorted orbit
+    points, first level first.  The draw reads blocks of consecutive levels
+    from tables of their products (`_draw_blocks`), built on the group's
+    first draw, so it takes one product per block instead of one per level
+    and still returns the same element for the same rng calls.
+
     `rng` is a random.Random or an int seed; a fixed Random instance yields
     a reproducible sequence.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    chain = group._chain
-    g = _identity(group.degree)
+    blocks = group._draw_blocks
+    if blocks is None:
+        blocks = group._draw_blocks = _draw_blocks(group._chain)
+    g = None
+    for sizes, table in blocks:
+        i = 0
+        for n in sizes:
+            i = i * n + rng.randrange(n)
+        g = table[i] if g is None else _mul(g, table[i])
+    return Permutation._from_raw(g if g is not None else _identity(group.degree))
+
+
+def _draw_blocks(chain: _Chain) -> list[tuple[list[int], list[tuple]]]:
+    """The chain's levels grouped into blocks of consecutive levels, each
+    grown while the product of its orbit sizes stays at most the degree,
+    as (orbit sizes, table).  The table lists the products u_i ... u_j of
+    the block's coset representatives, indexed in mixed radix by their
+    points' positions in the sorted orbits, the first level most
+    significant."""
+    blocks: list[tuple[list[int], list[tuple]]] = []
     for t, pts in zip(chain.transversals, chain.points):
-        g = _mul(g, t[pts[rng.randrange(len(pts))]])
-    return Permutation._from_raw(g)
+        us = [t[pt] for pt in pts]
+        if blocks and len(blocks[-1][1]) * len(us) <= chain.degree:
+            sizes, table = blocks[-1]
+            sizes.append(len(us))
+            blocks[-1] = (sizes, [_mul(a, u) for a in table for u in us])
+        else:
+            blocks.append(([len(us)], us))
+    return blocks
 
 
 def enumerate_elements(

@@ -13,7 +13,11 @@ are reproducible; a reported witness is always the canonically smallest.
 Solvability and nilpotency pass to subgroups, so every scan, exhaustive or
 randomized, keeps a cover for the element g it scans: the passing subgroups
 <g, h, ...> it has built so far.  A candidate tuple of conjugates that all
-lie in one cover group passes without a build of its own.  Every skipped
+lie in one cover group passes without a build of its own, and the cover
+remembers which conjugates each group contains, so no conjugate is sifted
+through one group twice.  A tuple of powers of g generates the cyclic <g>
+and passes without a build, and so does Thompson's identity class, whose
+pairs <1, y> = <y> are cyclic.  Every skipped
 candidate really passes, so the first failure in canonical order, its
 witness and the logical counters are those of the unpruned scan.  A
 randomized search still makes every RNG draw, in the same order, so its
@@ -33,7 +37,9 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
 from .bsgs import (
@@ -221,10 +227,72 @@ def _check_budget(space: int, budget: int, what: str) -> None:
         )
 
 
-def _covered(cover: list[Bsgs], hs: tuple) -> bool:
-    """Whether all the conjugates hs lie in one cover group."""
-    # newest first: later cover groups tend to be the larger ones
-    return any(all(map(c._contains_raw, hs)) for c in reversed(cover))
+class _Cover:
+    """The passing subgroups <g, h1, ..., hk> that one scan of g has built,
+    and what is known of their members.
+
+    Each distinct conjugate gets a bit, 1 << n, when it is first seen.  Each
+    group keeps two masks over those bits: the conjugates it has been tested
+    on, and those it contains.  So a conjugate is sifted through a group at
+    most once; asked again, it costs a bit test.  A group contains the
+    conjugates it was built from without a sift.
+
+    Tuples of powers of g need no group: they generate <g>, which is
+    cyclic, so solvable and nilpotent.  And every group contains g, so it
+    contains the powers of g without a sift.
+    """
+
+    __slots__ = ("groups", "tested", "inside", "bits", "powers", "_g_powers")
+
+    def __init__(self, g: tuple):
+        self.groups: list[Bsgs] = []
+        self.tested: list[int] = []
+        self.inside: list[int] = []
+        self.bits: dict[tuple, int] = {}  # conjugate -> its bit
+        self.powers = 0  # the bits of the conjugates that are powers of g
+        self._g_powers = {g}
+        p = _mul(g, g)
+        while p != g:
+            self._g_powers.add(p)
+            p = _mul(p, g)
+
+    def bit(self, h: tuple) -> int:
+        b = self.bits.get(h)
+        if b is None:
+            b = self.bits[h] = 1 << len(self.bits)
+            if h in self._g_powers:
+                self.powers |= b
+        return b
+
+    def cyclic(self, mask: int) -> bool:
+        """Whether the conjugates of `mask` are all powers of g."""
+        return not mask & ~self.powers
+
+    def contains(self, k: int, h: tuple, b: int) -> bool:
+        """Whether group k contains the conjugate h, whose bit is b."""
+        if b & self.powers:
+            return True
+        if not self.tested[k] & b:
+            self.tested[k] |= b
+            if self.groups[k]._contains_raw(h):
+                self.inside[k] |= b
+        return bool(self.inside[k] & b)
+
+    def covers(self, ks, hs: tuple, bs) -> bool:
+        """Whether one of the groups ks contains all of hs, whose bits are bs."""
+        # newest first: later cover groups tend to be the larger ones
+        return any(
+            all(self.contains(k, h, b) for h, b in zip(hs, bs))
+            for k in reversed(ks)
+        )
+
+    def add(self, sub: Bsgs, mask: int) -> int:
+        """Add a passing group built from the conjugates of `mask`; returns
+        its index."""
+        self.groups.append(sub)
+        self.tested.append(mask)
+        self.inside.append(mask)
+        return len(self.groups) - 1
 
 
 def _first_failure(
@@ -235,18 +303,20 @@ def _first_failure(
     the subgroup built for it; None if every one passes.  `candidates` may
     be any iterable, and is consumed no further than the failing tuple.
 
-    The predicate must pass to subgroups (solvable, nilpotent): a tuple
-    inside an already built passing subgroup passes without a build of
-    its own.
+    The predicate must pass to subgroups (solvable, nilpotent) and hold on
+    cyclic groups: a tuple of powers of g, or one inside an already built
+    passing subgroup, passes without a build of its own.
     """
-    cover: list[Bsgs] = []
+    cover = _Cover(g_raw)
     for i, hs in enumerate(candidates):
-        if _covered(cover, hs):
+        bs = [cover.bit(h) for h in hs]
+        mask = reduce(or_, bs, 0)
+        if cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
             continue
         sub = _span(degree, [g_raw, *hs])
         if not predicate(sub):
             return i, hs, sub
-        cover.append(sub)
+        cover.add(sub, mask)
     return None
 
 
@@ -300,10 +370,17 @@ def _random_search(
     g_raw = g._img
     xs: list[Permutation] = []
 
+    def conjugate(x: tuple) -> tuple:
+        # x g x^-1 maps x[i] to x[g[i]]
+        h = list(x)
+        for i, xi in enumerate(x):
+            h[xi] = x[g_raw[i]]
+        return tuple(h)
+
     def samples():
         for _ in range(budget):
             xs[:] = [random_element(group, rng) for _ in range(k)]
-            yield tuple(_mul(x._img, _mul(g_raw, _inv(x._img))) for x in xs)
+            yield tuple(conjugate(x._img) for x in xs)
 
     failure = _first_failure(group.degree, g_raw, samples(), is_solvable)
     if failure is None:
@@ -466,35 +543,46 @@ def four_conjugate_element_test(
             tuples_checked=total,
         )
 
-    # cover: passing subgroups built so far; live1 / live2: those of them
-    # containing h1 / h1 and h2
-    cover: list[Bsgs] = []
+    # live1 / live2: the cover groups containing h1 / h1 and h2
+    cover = _Cover(g_raw)
+    bits = [cover.bit(h) for h in raw]
+
+    def build(hs, mask, *lives) -> Optional[Bsgs]:
+        """Build <g, *hs>: the subgroup if it is not solvable, else None
+        once it is in the cover and in each of the live lists."""
+        sub = _span(group.degree, [g_raw, *hs])
+        if not is_solvable(sub):
+            return sub
+        k = cover.add(sub, mask)
+        for live in lives:
+            live.append(k)
+        return None
+
     for h1 in h1_reps:
-        live1 = [c for c in cover if c._contains_raw(h1)]
-        if not live1:
-            sub = _span(group.degree, [g_raw, h1])
-            if not is_solvable(sub):
+        m1 = cover.bit(h1)
+        live1 = [k for k in range(len(cover.groups)) if cover.contains(k, h1, m1)]
+        if not live1 and not cover.cyclic(m1):
+            if build((h1,), m1, live1) is not None:
                 return failure((h1, first, first))
-            cover.append(sub)
-            live1.append(sub)
-        for h2 in raw:
-            live2 = [c for c in live1 if c._contains_raw(h2)]
-            if not live2:
-                sub = _span(group.degree, [g_raw, h1, h2])
-                if not is_solvable(sub):
+        for h2, b2 in zip(raw, bits):
+            m2 = m1 | b2
+            live2 = [k for k in live1 if cover.contains(k, h2, b2)]
+            if not live2 and not cover.cyclic(m2):
+                if build((h1, h2), m2, live1, live2) is not None:
                     return failure((h1, h2, first))
-                cover.append(sub)
-                live1.append(sub)
-                live2.append(sub)
-            for h3 in raw:
-                if _covered(live2, (h3,)):
+            # the h3 known to pass: those inside a live2 group, and the
+            # powers of g, which add nothing to the passing <g, h1, h2>
+            known = cover.powers
+            for k in live2:
+                known |= cover.inside[k]
+            for h3, b3 in zip(raw, bits):
+                if b3 & known or cover.covers(live2, (h3,), (b3,)):
                     continue
-                sub = _span(group.degree, [g_raw, h1, h2, h3])
-                if not is_solvable(sub):
+                m3 = m2 | b3
+                sub = build((h1, h2, h3), m3, live1, live2)
+                if sub is not None:
                     return failure((h1, h2, h3), sub)
-                cover.append(sub)
-                live1.append(sub)
-                live2.append(sub)
+                known |= m3
     return CriterionVerdict(
         element=g,
         in_radical_claimed=True,
@@ -586,6 +674,11 @@ def thompson_test(
     checked = 0
     for cls in classes:
         rep = cls.representative
+        if rep.is_identity():
+            # every <1, y> = <y> is cyclic: pass the class without walking
+            # the orbits of C_G(1) = G on the elements, the classes again
+            checked += len(elements)
+            continue
         cz = centralizer(group, rep, cls)
         ys = _orbit_partition_reps(elements, cz._gens_raw, group._chain.base)
         failure = _first_failure(

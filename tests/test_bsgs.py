@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -418,6 +419,65 @@ SEED_5_DRAWS = {
         "51748263", "46273581", "41863257", "14257863", "35724618",
     ],
 }
+
+
+def _reference_draw(group, rng):
+    """u_0 u_1 ... u_k with one product per chain level, each u_i drawn by
+    rng.randrange over level i's sorted orbit points."""
+    chain = group._chain
+    g = tuple(range(group.degree))
+    for t in chain.transversals:
+        pts = sorted(t)
+        g = _mul(g, t[pts[rng.randrange(len(pts))]])
+    return g
+
+
+# Chain levels per group: one (C(2)), three (S(4), PSL2(7), Sz(8)), six
+# (S4 x S4) and none (the trivial group); only S4 x S4 merges levels.
+DRAW_SPECS = ["C(2)", "S(4)", "PSL2(7)", "direct(S(4),S(4))", "C(1)", "file:sz8.json"]
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("spec", DRAW_SPECS)
+    def test_draws_equal_the_level_by_level_product(self, spec, group_of):
+        g = group_of(spec)
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert random_element(g, rng)._img == _reference_draw(g, ref)
+            # the same rng calls: both streams end in the same state
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("spec", DRAW_SPECS)
+    def test_tables_cover_the_levels_within_the_degree(self, spec, group_of):
+        g = group_of(spec)
+        random_element(g, 0)
+        blocks = g._draw_blocks
+        sizes = [n for block_sizes, _ in blocks for n in block_sizes]
+        assert sizes == [len(t) for t in g._chain.transversals]
+        for block_sizes, table in blocks:
+            assert len(table) == math.prod(block_sizes) <= g.degree
+
+    def test_merged_blocks(self, group_of):
+        blocks = {}
+        for spec in ("direct(S(4),S(4))", "file:sz8.json"):
+            g = group_of(spec)
+            random_element(g, 0)
+            blocks[spec] = [sizes for sizes, _ in g._draw_blocks]
+        # six levels in four blocks: three products per draw instead of six
+        assert blocks["direct(S(4),S(4))"] == [[4], [4], [3, 2], [3, 2]]
+        assert blocks["file:sz8.json"] == [[65], [64], [7]]
+
+    def test_tables_are_built_once_on_the_first_draw(self, group_of):
+        s4 = group_of("S(4)")
+        built = build_bsgs(GeneratorSet(4, s4.generators))
+        wrapped = normal_closure(s4, [parse_cycles("(1,2,3)", 4)])
+        for g in (built, wrapped):
+            assert g._draw_blocks is None
+            random_element(g, 0)
+            blocks = g._draw_blocks
+            assert g.contains(random_element(g, 1))
+            assert g._draw_blocks is blocks
 
 
 class TestRandomAndEnumerate:

@@ -7,11 +7,13 @@ scans below are the unpruned loops: every candidate in canonical order (or
 every random sample) gets its own subgroup, centralizer orbits come from
 brute-force centralizers, and the Thompson scan visits every (class
 representative, element) pair.  Verdicts, witnesses (conjugators and
-generated order) and counters must agree.  The sharpness check builds one
-triple of transpositions per graph shape; its reference builds them all.
+generated order) and counters must agree, and no cover group may sift the
+same conjugate twice.  The sharpness check builds one triple of
+transpositions per graph shape; its reference builds them all.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvrad.bsgs import (
+    Bsgs,
     GeneratorSet,
     build_bsgs,
     conjugacy_classes,
@@ -26,6 +29,8 @@ from solvrad.bsgs import (
     random_element,
 )
 from solvrad.criteria import (
+    EXHAUSTIVE,
+    RANDOMIZED,
     BudgetExceededError,
     SharpnessReport,
     _random_search,
@@ -33,6 +38,7 @@ from solvrad.criteria import (
     baer_suzuki_set,
     class_pair_solvability,
     four_conjugate_element_test,
+    four_conjugate_radical,
     nonsolvable_witness_search,
     thompson_test,
     transposition_triple_sharpness,
@@ -256,7 +262,7 @@ def test_pruned_scans_match_reference_on_random_groups(gens):
     "spec, solvable",
     [("S(5)", False), ("A(5)", False), ("PSL2(7)", False),
      ("direct(C(5),A(5))", False), ("S(4)", True), ("D(6)", True),
-     ("direct(D(5),D(7))", True)],
+     ("direct(D(5),D(7))", True), ("direct(S(4),S(4))", True)],
 )
 def test_pruned_random_search_matches_reference(spec, solvable, group_of, classes_of):
     claims = check_random_searches(
@@ -264,6 +270,53 @@ def test_pruned_random_search_matches_reference(spec, solvable, group_of, classe
     )
     # a solvable group passes every sample; the others show some witness
     assert all(claims) == solvable
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [("direct(S(4),S(4))", RANDOMIZED), ("direct(C(3),S(4))", EXHAUSTIVE)],
+)
+def test_each_conjugate_is_sifted_once_per_cover_group(spec, mode, group_of,
+                                                       classes_of, monkeypatch):
+    sifts = Counter()
+    groups = []  # keeps every sifting group alive, so no id() is reused
+
+    def counted(self, g):
+        groups.append(self)
+        sifts[id(self), g] += 1
+        return contains_raw(self, g)
+
+    contains_raw = Bsgs._contains_raw
+    monkeypatch.setattr(Bsgs, "_contains_raw", counted)
+    budget = 50 if mode == RANDOMIZED else None
+    result = four_conjugate_radical(
+        group_of(spec), classes_of(spec), mode, budget, rng_seed=3
+    )
+    assert all(v.in_radical_claimed for v in result.verdicts)
+    assert len(sifts) > 50
+    assert max(sifts.values()) == 1
+
+
+def test_tuples_of_powers_of_g_are_not_built(group_of, classes_of, monkeypatch):
+    # the class of g = (1,2,3) in S(3) is {g, g^-1}, so every tuple of its
+    # members generates the cyclic <g>
+    group = group_of("S(3)")
+    cls = next(c for c in classes_of("S(3)") if c.class_size == 2)
+    builds = []
+    init = Bsgs.__init__
+
+    def counted(self, gens):
+        builds.append(gens)
+        init(self, gens)
+
+    monkeypatch.setattr(Bsgs, "__init__", counted)
+    g = cls.representative
+    assert four_conjugate_element_test(group, g, class_of_g=cls).in_radical_claimed
+    assert four_conjugate_element_test(
+        group, g, RANDOMIZED, 20, class_of_g=cls
+    ).in_radical_claimed
+    assert class_pair_solvability(group, [cls]).all_classes_pass
+    assert builds == []
 
 
 @pytest.mark.parametrize(

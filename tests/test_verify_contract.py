@@ -50,6 +50,11 @@ GOLDEN_ARGV = [
     ["verify", "two", "direct(C(5),A(5))", "--randomized", "--budget", "40",
      "--seed", "3"],
     ["verify", "four", "A(5)", "--randomized", "--budget", "20", "--seed", "1"],
+    # the four-conjugate cover's largest exhaustive scan among these, and
+    # the benchmark's randomized group
+    ["verify", "four", "direct(S(4),S(4))"],
+    ["verify", "four", "direct(S(4),S(4))", "--randomized", "--budget", "60",
+     "--seed", "3"],
 ]
 
 
