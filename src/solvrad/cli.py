@@ -65,8 +65,11 @@ EXIT_USAGE = 4
 BUDGET_ERRORS = (BudgetExceededError, CapExceededError)
 USAGE_ERRORS = (GroupSpecError, GroupFileError, CycleFormatError, ValueError)
 
-# suite entry flags that must be JSON integers (not floats, strings or booleans)
+# the keys of a suite entry and the flags that the entry runner reads; the
+# INTEGER_FLAGS must be JSON integers (not floats, strings or booleans)
+ENTRY_KEYS = ("command", "spec", "flags")
 INTEGER_FLAGS = ("budget", "seed", "element_cap", "n")
+FLAGS = ("randomized", "mode", *INTEGER_FLAGS)
 
 CONTRADICTION_MESSAGE = (
     "theorem contradiction detected: this indicates a bug in this tool, "
@@ -131,35 +134,24 @@ def _require_positive(name: str, value: Optional[int]) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _group_and_classes(
-    spec: str, element_cap: int, memo: Optional[dict] = None
-) -> tuple[Bsgs, list]:
-    """The group of `spec` and its conjugacy classes.  With a memo, a pair
-    that an earlier successful build stored under (spec, element_cap) is
-    reused instead of being built again."""
+def _group_and_classes(spec: str, element_cap: int, memo: dict) -> tuple[Bsgs, list]:
+    """The group of `spec` and its conjugacy classes.  A pair that an
+    earlier successful build stored in the memo under (spec, element_cap)
+    is reused instead of being built again."""
     if not isinstance(spec, str):
         raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
     key = (spec, element_cap)
-    if memo is not None and key in memo:
-        return memo[key]
-    group = build_bsgs(construct(spec))
-    built = group, conjugacy_classes(group, element_cap)
-    if memo is not None:
-        memo[key] = built
-    return built
+    if key not in memo:
+        group = build_bsgs(construct(spec))
+        memo[key] = group, conjugacy_classes(group, element_cap)
+    return memo[key]
 
 
-def cmd_info(
-    spec: str, element_cap: int, memo: Optional[dict] = None
-) -> tuple[int, VerificationReport]:
-    _require_positive("element_cap", element_cap)
-    t0 = time.perf_counter()
-    group, classes = _group_and_classes(spec, element_cap, memo)
+def cmd_info(spec: str, group: Bsgs, classes: list) -> tuple[int, VerificationReport]:
     profiles = prime_order_elements(classes)
     report = VerificationReport(
         command="info",
         group=_group_info(spec, group),
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "class_count": len(classes),
             "class_sizes": sorted(c.class_size for c in classes),
@@ -251,25 +243,18 @@ def _compare_radicals(result, oracle, mode: str) -> bool:
 def cmd_verify(
     theorem: str,
     spec: str,
-    mode: str = EXHAUSTIVE,
-    budget: Optional[int] = None,
-    seed: int = 0,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    memo: Optional[dict] = None,
+    group: Bsgs,
+    classes: list,
+    mode: str,
+    budget: Optional[int],
+    seed: int,
+    element_cap: int,
 ) -> tuple[int, VerificationReport]:
-    if mode not in (EXHAUSTIVE, RANDOMIZED):
-        raise ValueError(
-            f"unknown search mode {mode!r}; use {EXHAUSTIVE!r} or {RANDOMIZED!r}"
-        )
-    _require_positive("budget", budget)
-    _require_positive("element_cap", element_cap)
     # an exhaustive-only theorem reports so under --randomized; a --budget
     # given with --randomized counts samples, so it bounds no scan
     if theorem not in SAMPLED_THEOREMS and mode == RANDOMIZED:
         mode, budget = EXHAUSTIVE, None
     budget = _budget_or_default(budget, mode)
-    t0 = time.perf_counter()
-    group, classes = _group_and_classes(spec, element_cap, memo)
     _progress(f"verify {theorem} {spec}: order {group.order}")
 
     if theorem in RADICAL_THEOREMS:
@@ -285,7 +270,7 @@ def cmd_verify(
         details = {}
         if len(result.verdicts) < len(classes):
             details["tested_class_reps"] = len(result.verdicts)
-    elif theorem in WHOLE_GROUP_THEOREMS:
+    else:
         holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](
             group, classes, budget, element_cap
         )
@@ -297,8 +282,6 @@ def cmd_verify(
             "equal": holds == solvable,
         }
         details.update(criterion_holds=holds, group_is_solvable=solvable)
-    else:
-        raise GroupSpecError(f"unknown theorem {theorem!r}")
 
     report = VerificationReport(
         command=f"verify {theorem}",
@@ -307,7 +290,6 @@ def cmd_verify(
         rng_seed=seed if mode == RANDOMIZED else None,
         per_element_results=per_element,
         oracle_comparison=comparison,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
         details=details,
     )
     if not comparison["equal"]:
@@ -318,13 +300,11 @@ def cmd_verify(
 
 
 def cmd_sharpness(n: int) -> tuple[int, VerificationReport]:
-    t0 = time.perf_counter()
     rep = transposition_triple_sharpness(n)
     report = VerificationReport(
         command="sharpness",
         group={"spec_text": f"S({n})", "degree": n, "order": None},
         search_mode=EXHAUSTIVE,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "n": n,
             "triples_checked": rep.triples_checked,
@@ -343,25 +323,21 @@ def cmd_suite(
     seed: Optional[int] = None,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[int, VerificationReport]:
-    _require_positive("element_cap", element_cap)
     t0 = time.perf_counter()
     try:
-        with open(config_path) as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise GroupFileError(f"cannot read suite config {config_path}: {e}") from e
-    entries = _suite_entries(config, config_path)
+        _require_positive("element_cap", element_cap)
+        entries = _suite_entries(config_path)
+    except USAGE_ERRORS as e:
+        return _failure("suite", None, e)
 
     sub_reports = []
     worst = EXIT_OK
     built: dict = {}  # (spec, element_cap) -> (group, classes), this call only
     for entry in entries:
-        command = entry.get("command")
-        spec = entry.get("spec")
-        flags = dict(entry.get("flags", {}))
+        flags = {"element_cap": element_cap, **entry.get("flags", {})}
         if seed is not None:
             flags["seed"] = seed
-        code, rep = _run_entry(command, spec, flags, element_cap, built)
+        code, rep = _run_entry(entry.get("command"), entry.get("spec"), flags, built)
         sub_reports.append({"exit_code": code, "report": asdict(rep)})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
@@ -379,9 +355,14 @@ def cmd_suite(
     return worst, report
 
 
-def _suite_entries(config, config_path: str) -> list:
-    """The entries of a parsed suite config, checked for shape before any
-    of them runs."""
+def _suite_entries(config_path: str) -> list:
+    """The entries of a suite config file, checked for shape, keys and flag
+    types before any of them runs."""
+    try:
+        with open(config_path) as f:
+            config = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise GroupFileError(f"cannot read suite config {config_path}: {e}") from e
     if not isinstance(config, dict):
         raise GroupFileError(f"suite config {config_path} must be a JSON object")
     entries = config.get("entries")
@@ -391,17 +372,20 @@ def _suite_entries(config, config_path: str) -> list:
         where = f"suite config {config_path}, entry {i}"
         if not isinstance(entry, dict):
             raise GroupFileError(f"{where}: an entry must be an object, got {entry!r}")
+        for key in entry:
+            if key not in ENTRY_KEYS:
+                raise GroupFileError(f"{where}: unknown key {key!r}; use {ENTRY_KEYS}")
         flags = entry.get("flags", {})
         if not isinstance(flags, dict):
             raise GroupFileError(f"{where}: 'flags' must be an object, got {flags!r}")
-        if not isinstance(flags.get("randomized", False), bool):
-            raise GroupFileError(
-                f"{where}: 'randomized' must be true or false, "
-                f"got {flags['randomized']!r}"
-            )
-        for name in INTEGER_FLAGS:
-            value = flags.get(name, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
+        for name, value in flags.items():
+            if name not in FLAGS:
+                raise GroupFileError(f"{where}: unknown flag {name!r}; use {FLAGS}")
+            if name == "randomized" and not isinstance(value, bool):
+                raise GroupFileError(
+                    f"{where}: 'randomized' must be true or false, got {value!r}"
+                )
+            if name in INTEGER_FLAGS and type(value) is not int:
                 raise GroupFileError(
                     f"{where}: '{name}' must be an integer, got {value!r}"
                 )
@@ -411,27 +395,48 @@ def _suite_entries(config, config_path: str) -> list:
 
 
 def _run_entry(
-    command, spec, flags, element_cap, memo
+    command, spec, flags: dict, memo: dict
 ) -> tuple[int, VerificationReport]:
+    """The exit code and report of one command-line or suite entry, whose
+    flags are named as in a suite config; `memo` shares (group, classes)
+    builds between entries.  An expected failure is reported under the
+    success report's name.  The `cmd_*` functions and `conjugacy_classes`
+    are read as module globals at call time, so a rebound one runs."""
+    name = f"verify {command}" if command in THEOREMS else command or "?"
     mode = RANDOMIZED if flags.get("randomized") else flags.get("mode", EXHAUSTIVE)
     budget = flags.get("budget")
-    seed = flags.get("seed", 0)
-    cap = flags.get("element_cap", element_cap)
+    cap = flags["element_cap"]
+    t0 = time.perf_counter()
     try:
-        if command == "info":
-            return cmd_info(spec, cap, memo)
+        if mode not in (EXHAUSTIVE, RANDOMIZED):
+            raise ValueError(
+                f"unknown search mode {mode!r}; use {EXHAUSTIVE!r} or {RANDOMIZED!r}"
+            )
+        _require_positive("budget", budget)
+        _require_positive("element_cap", cap)
         if command == "sharpness":
-            return cmd_sharpness(flags["n"])
-        if command in THEOREMS:
-            return cmd_verify(command, spec, mode, budget, seed, cap, memo)
-        raise GroupSpecError(f"unknown suite command {command!r}")
+            code, report = cmd_sharpness(flags["n"])
+        elif command == "info":
+            code, report = cmd_info(spec, *_group_and_classes(spec, cap, memo))
+        elif command in THEOREMS:
+            group, classes = _group_and_classes(spec, cap, memo)
+            code, report = cmd_verify(
+                command, spec, group, classes, mode, budget, flags.get("seed", 0), cap
+            )
+        else:
+            raise GroupSpecError(f"unknown suite command {command!r}")
     except BUDGET_ERRORS + USAGE_ERRORS as e:
-        return _failure(command or "?", spec, e)
+        return _failure(name, spec, e)
+    report.timing_ms = (time.perf_counter() - t0) * 1000.0
+    return code, report
 
 
 def _failure(command: str, spec, error: Exception) -> tuple[int, VerificationReport]:
-    """The exit code and report of an expected failure."""
+    """The exit code and report of an expected failure, whose message also
+    goes to stderr."""
     code = EXIT_BUDGET if isinstance(error, BUDGET_ERRORS) else EXIT_USAGE
+    kind = "budget exceeded" if code == EXIT_BUDGET else "error"
+    print(f"{kind}: {error}", file=sys.stderr)
     return code, VerificationReport(
         command=command,
         group={"spec_text": spec, "degree": None, "order": None},
@@ -498,26 +503,14 @@ def main(argv: Optional[list] = None) -> int:
         print("--threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
-    spec = getattr(args, "spec", None)
-    try:
-        if args.command == "info":
-            code, report = cmd_info(args.spec, args.element_cap)
-        elif args.command == "verify":
-            mode = RANDOMIZED if args.randomized else EXHAUSTIVE
-            code, report = cmd_verify(
-                args.theorem, args.spec, mode, args.budget, args.seed,
-                args.element_cap,
-            )
-        elif args.command == "sharpness":
-            code, report = cmd_sharpness(args.n)
-        elif args.command == "suite":
-            code, report = cmd_suite(args.config, args.seed, args.element_cap)
-        else:  # pragma: no cover - argparse enforces choices
-            return EXIT_USAGE
-    except BUDGET_ERRORS + USAGE_ERRORS as e:
-        code, report = _failure(args.command, spec, e)
-        kind = "budget exceeded" if code == EXIT_BUDGET else "error"
-        print(f"{kind}: {e}", file=sys.stderr)
+    if args.command == "suite":
+        code, report = cmd_suite(args.config, args.seed, args.element_cap)
+    else:
+        # the parsed options carry the flag names of a suite entry
+        code, report = _run_entry(
+            getattr(args, "theorem", args.command), getattr(args, "spec", None),
+            vars(args), {},
+        )
 
     text = report.to_json()
     print(text)

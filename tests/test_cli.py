@@ -64,9 +64,13 @@ class TestInfo:
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["info", "S(5)", "--element-cap", "10"]) == EXIT_BUDGET
 
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_non_positive_element_cap_is_usage_error(self, capsys, cap):
-        code, rep = run(capsys, "info", "S(5)", "--element-cap", cap)
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [(["info", "S(5)"], "0"), (["info", "S(5)"], "-1"), (["sharpness", "5"], "0")],
+        ids=["0", "-1", "sharpness-0"],
+    )
+    def test_non_positive_element_cap_is_usage_error(self, capsys, argv, cap):
+        code, rep = run(capsys, *argv, "--element-cap", cap)
         assert code == EXIT_USAGE
         assert "element_cap must be >= 1" in rep["details"]["error"]
 
@@ -265,9 +269,15 @@ class TestSuite:
             ({"entries": [{"command": "two", "spec": "A(5)",
                            "flags": {"randomized": "no"}}]},
              "entry 0: 'randomized' must be true or false"),
+            ({"entries": [{"command": "two", "spec": "A(5)",
+                           "flags": {"randomized": True, "budjet": 3}}]},
+             "entry 0: unknown flag 'budjet'"),
+            ({"entries": [{"command": "two", "spec": "A(5)",
+                           "flag": {"budget": 3}}]},
+             "entry 0: unknown key 'flag'"),
         ],
         ids=["top-level-list", "entry-not-object", "flags-not-object",
-             "randomized-not-bool"],
+             "randomized-not-bool", "unknown-flag", "unknown-entry-key"],
     )
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"
@@ -329,9 +339,13 @@ class TestSuite:
     def test_non_positive_entry_element_cap_is_usage_error(self, capsys, tmp_path):
         code, rep = self.suite(capsys, tmp_path, [
             {"command": "info", "spec": "S(4)", "flags": {"element_cap": 0}},
+            {"command": "sharpness",
+             "flags": {"n": 5, "element_cap": -2, "budget": 0}},
         ])
         assert code == EXIT_USAGE
-        assert rep["details"]["entries"][0]["exit_code"] == EXIT_USAGE
+        assert [e["exit_code"] for e in rep["details"]["entries"]] == [
+            EXIT_USAGE, EXIT_USAGE,
+        ]
 
     def test_negative_suite_element_cap_is_usage_error(self, capsys, tmp_path):
         code, _ = self.suite(
@@ -366,22 +380,33 @@ class TestSuite:
             {"command": "two", "spec": "S(5)"},
             {"command": "pairs", "spec": "S(5)"},
             {"command": "thompson", "spec": "S(5)"},
+            {"command": "bs", "spec": "S(5)", "flags": {"budget": 1}},
+            {"command": "two", "spec": "Q(5)"},
+            {"command": "sharpness", "flags": {"n": 5}},
+            {"command": "two", "spec": "S(5)",
+             "flags": {"randomized": True, "budget": 30, "seed": 4}},
         ]
         code, rep = self.suite(capsys, tmp_path, entries)
         assert code == EXIT_BUDGET
-        # one successful build shared by five entries; the capped one fails
+        # one successful build shared by seven entries; the capped one fails
         assert builds == [200_000, 10]
         got = rep["details"]["entries"]
         assert [e["exit_code"] for e in got] == [
             EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+            EXIT_BUDGET, EXIT_USAGE, EXIT_OK, EXIT_OK,
         ]
         for entry, sub in zip(entries, got):
-            argv = ["info"] if entry["command"] == "info" else [
-                "verify", entry["command"],
-            ]
-            argv.append(entry["spec"])
-            if "flags" in entry:
-                argv += ["--element-cap", str(entry["flags"]["element_cap"])]
+            flags = dict(entry.get("flags", {}))
+            if entry["command"] == "sharpness":
+                argv = ["sharpness", str(flags.pop("n"))]
+            elif entry["command"] == "info":
+                argv = ["info", entry["spec"]]
+            else:
+                argv = ["verify", entry["command"], entry["spec"]]
+            for name, value in flags.items():
+                argv += ["--randomized"] if name == "randomized" else [
+                    "--" + name.replace("_", "-"), str(value),
+                ]
             solo_code, solo = run(capsys, *argv)
             assert solo_code == sub["exit_code"]
             assert strip_timing(sub["report"]) == strip_timing(solo)
