@@ -75,15 +75,28 @@ class _Chain:
     u[base[i]] = point, inverses[i] maps the same point to u^-1, and
     points[i] lists the orbit's points in ascending order.  Sifting strips
     with the stored inverses, so it never inverts a permutation.
+
+    `bound`, when given, is a proven upper bound on the order of the group
+    the chain generates, such as the order of a group that contains every
+    generator.  The product of the basic orbit lengths of a partial chain
+    is a lower bound on that order, so once it equals the bound the chain
+    is complete: every Schreier generator still to be checked lies in the
+    group and sifts to the identity, and stopping there leaves base,
+    levels, transversals, inverses and points as the full sweep would.
+    An order past the bound means a generator outside the bounding group
+    was given, and raises MembershipError.
     """
 
     __slots__ = (
         "degree", "base", "levels", "transversals", "inverses", "points",
-        "_ident",
+        "bound", "_ident",
     )
 
-    def __init__(self, degree: int, gens: Sequence[tuple] = ()):
+    def __init__(
+        self, degree: int, gens: Sequence[tuple] = (), bound: Optional[int] = None
+    ):
         self.degree = degree
+        self.bound = bound
         self.base: list[int] = []
         self.levels: list[list[tuple]] = []
         self.transversals: list[dict[int, tuple]] = []
@@ -99,6 +112,22 @@ class _Chain:
         for t in self.transversals:
             n *= len(t)
         return n
+
+    def _at_bound(self) -> bool:
+        """Whether the chain's order has reached its bound, which makes it
+        complete; raises if the order has passed the bound."""
+        if self.bound is None:
+            return False
+        n = self.order()
+        if n > self.bound:
+            self._past_bound()
+        return n == self.bound
+
+    def _past_bound(self) -> None:
+        raise MembershipError(
+            f"the chain's order exceeds its bound {self.bound}: a generator "
+            "lies outside the bounding group"
+        )
 
     def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
         """Strip g through the chain from the given level.
@@ -156,6 +185,8 @@ class _Chain:
         for g in new_gens:
             if g == self._ident or self.contains(g):
                 continue
+            if self._at_bound():
+                self._past_bound()  # the complete chain does not contain g
             j = 0
             while j < len(self.base) and g[self.base[j]] == self.base[j]:
                 j += 1
@@ -166,11 +197,12 @@ class _Chain:
             for l in range(j + 1):
                 self._recompute_orbit(l)
             changed = True
-        if changed:
+        if changed and not self._at_bound():
             self._schreier_sims()
 
     def _schreier_sims(self) -> None:
-        """Deterministic verification sweep from the deepest level upward."""
+        """Deterministic verification sweep from the deepest level upward;
+        it ends early once the chain reaches its bound."""
         ident = self._ident
         i = len(self.base) - 1
         while i >= 0:
@@ -192,6 +224,8 @@ class _Chain:
                     for l in range(i + 1, j + 1):
                         self.levels[l].append(residue)
                         self._recompute_orbit(l)
+                    if self._at_bound():
+                        return
                     restart = j
                     break
                 if restart is not None:
@@ -215,14 +249,18 @@ class Bsgs:
     Built once, then safe to share: queries never change the group, and the
     only state they add is the draw tables of `random_element`, built on
     the first draw.
+
+    `bound`, when given, must be a proven upper bound on the order of the
+    generated group, such as the order of a group that contains every
+    generator; Schreier-Sims then stops once it reaches it (see _Chain).
     """
 
     __slots__ = ("degree", "_chain", "_gens_raw", "_order", "_draw_blocks")
 
-    def __init__(self, gens: GeneratorSet):
+    def __init__(self, gens: GeneratorSet, bound: Optional[int] = None):
         self.degree = gens.degree
         self._gens_raw = [g._img for g in gens.generators]
-        self._chain = _Chain(gens.degree, self._gens_raw)
+        self._chain = _Chain(gens.degree, self._gens_raw, bound)
         self._order = self._chain.order()
         self._draw_blocks = None
 
@@ -304,6 +342,11 @@ def normal_closure(group: Bsgs, seeds) -> Bsgs:
     conjugation by the group's generators.
 
     Seeds must be members.  Accepts a GeneratorSet or a list of Permutation.
+
+    The closure lies in `group`, so its chain is bounded by the group's
+    order (see _Chain): a closure that reaches it is the whole group, its
+    Schreier-Sims ends there, and so do the conjugation rounds, since the
+    next round would find only members and add no generator.
     """
     if isinstance(seeds, GeneratorSet):
         seed_perms = seeds.generators
@@ -324,9 +367,9 @@ def normal_closure(group: Bsgs, seeds) -> Bsgs:
     for s in seed_perms:
         if s._img != ident and s._img not in closure_gens:
             closure_gens.append(s._img)
-    chain = _Chain(group.degree, closure_gens)
+    chain = _Chain(group.degree, closure_gens, group.order)
     frontier = list(closure_gens)
-    while frontier:
+    while frontier and chain.order() < group.order:
         new: list[tuple] = []
         batch: set[tuple] = set()
         for c in frontier:
@@ -346,6 +389,8 @@ def centralizer(
 ) -> Bsgs:
     """Centralizer of x, via the conjugation orbit of x with Schreier
     generators; stops once the orbit-stabilizer bound |G|/|orbit| is hit.
+    That order is exact, so it also bounds the centralizer's chain (see
+    _Chain): the Schreier-Sims of the generator that reaches it ends there.
 
     Each Schreier generator w^-1 s u takes its conjugators u and w from the
     orbit's Schreier tree, on demand, and a tree edge (w = s u) is skipped
@@ -365,7 +410,7 @@ def centralizer(
     target, rem = divmod(group.order, len(orbit))
     assert rem == 0, "orbit size must divide the group order"
 
-    chain = _Chain(group.degree, ())
+    chain = _Chain(group.degree, (), target)
     gens = group._gens_raw
     pulls = [_base_image(_inv(s), base) for s in gens]
     ident = _identity(group.degree)

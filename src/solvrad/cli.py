@@ -221,6 +221,8 @@ WHOLE_GROUP_THEOREMS = {
     ),
 }
 THEOREMS = (*RADICAL_THEOREMS, *WHOLE_GROUP_THEOREMS)
+# the commands of a suite entry
+COMMANDS = ("info", "sharpness", *THEOREMS)
 # the theorems with a randomized search; the others always scan exhaustively
 SAMPLED_THEOREMS = ("four", "two")
 
@@ -337,7 +339,7 @@ def cmd_suite(
         flags = {"element_cap": element_cap, **entry.get("flags", {})}
         if seed is not None:
             flags["seed"] = seed
-        code, rep = _run_entry(entry.get("command"), entry.get("spec"), flags, built)
+        code, rep = _run_entry(entry["command"], entry.get("spec"), flags, built)
         sub_reports.append({"exit_code": code, "report": asdict(rep)})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
@@ -375,6 +377,11 @@ def _suite_entries(config_path: str) -> list:
         for key in entry:
             if key not in ENTRY_KEYS:
                 raise GroupFileError(f"{where}: unknown key {key!r}; use {ENTRY_KEYS}")
+        command = entry.get("command")
+        if not (isinstance(command, str) and command in COMMANDS):
+            raise GroupFileError(
+                f"{where}: unknown command {command!r}; use one of {COMMANDS}"
+            )
         flags = entry.get("flags", {})
         if not isinstance(flags, dict):
             raise GroupFileError(f"{where}: 'flags' must be an object, got {flags!r}")
@@ -389,7 +396,7 @@ def _suite_entries(config_path: str) -> list:
                 raise GroupFileError(
                     f"{where}: '{name}' must be an integer, got {value!r}"
                 )
-        if entry.get("command") == "sharpness" and "n" not in flags:
+        if command == "sharpness" and "n" not in flags:
             raise GroupFileError(f"{where}: a sharpness entry needs 'n' in its flags")
     return entries
 
@@ -398,11 +405,12 @@ def _run_entry(
     command, spec, flags: dict, memo: dict
 ) -> tuple[int, VerificationReport]:
     """The exit code and report of one command-line or suite entry, whose
-    flags are named as in a suite config; `memo` shares (group, classes)
-    builds between entries.  An expected failure is reported under the
-    success report's name.  The `cmd_*` functions and `conjugacy_classes`
-    are read as module globals at call time, so a rebound one runs."""
-    name = f"verify {command}" if command in THEOREMS else command or "?"
+    command is one of COMMANDS and whose flags are named as in a suite
+    config; `memo` shares (group, classes) builds between entries.  An
+    expected failure is reported under the success report's name.  The
+    `cmd_*` functions and `conjugacy_classes` are read as module globals at
+    call time, so a rebound one runs."""
+    name = f"verify {command}" if command in THEOREMS else command
     mode = RANDOMIZED if flags.get("randomized") else flags.get("mode", EXHAUSTIVE)
     budget = flags.get("budget")
     cap = flags["element_cap"]
@@ -418,13 +426,11 @@ def _run_entry(
             code, report = cmd_sharpness(flags["n"])
         elif command == "info":
             code, report = cmd_info(spec, *_group_and_classes(spec, cap, memo))
-        elif command in THEOREMS:
+        else:
             group, classes = _group_and_classes(spec, cap, memo)
             code, report = cmd_verify(
                 command, spec, group, classes, mode, budget, flags.get("seed", 0), cap
             )
-        else:
-            raise GroupSpecError(f"unknown suite command {command!r}")
     except BUDGET_ERRORS + USAGE_ERRORS as e:
         return _failure(name, spec, e)
     report.timing_ms = (time.perf_counter() - t0) * 1000.0

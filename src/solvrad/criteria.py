@@ -138,8 +138,13 @@ class SharpnessReport:
     max_generated_order: int
 
 
-def _span(degree: int, raws) -> Bsgs:
-    return Bsgs(GeneratorSet(degree, [Permutation._from_raw(r) for r in raws]))
+def _span(group: Bsgs, raws) -> Bsgs:
+    """The subgroup of `group` that the members `raws` generate; its build
+    is bounded by the group's order."""
+    return Bsgs(
+        GeneratorSet(group.degree, [Permutation._from_raw(r) for r in raws]),
+        group.order,
+    )
 
 
 def _require_member(group: Bsgs, g: Permutation) -> None:
@@ -296,12 +301,14 @@ class _Cover:
 
 
 def _first_failure(
-    degree: int, g_raw: tuple, candidates, predicate
+    group: Bsgs, g_raw: tuple, candidates, predicate
 ) -> Optional[tuple[int, tuple, Bsgs]]:
     """The first tuple of conjugates (h1, ..., hk) of `candidates`, in their
     order, whose <g, h1, ..., hk> fails the predicate, with its index and
     the subgroup built for it; None if every one passes.  `candidates` may
     be any iterable, and is consumed no further than the failing tuple.
+    g and the conjugates are members of `group`, whose order bounds each
+    build.
 
     The predicate must pass to subgroups (solvable, nilpotent) and hold on
     cyclic groups: a tuple of powers of g, or one inside an already built
@@ -313,7 +320,7 @@ def _first_failure(
         mask = reduce(or_, bs, 0)
         if cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
             continue
-        sub = _span(degree, [g_raw, *hs])
+        sub = _span(group, [g_raw, *hs])
         if not predicate(sub):
             return i, hs, sub
         cover.add(sub, mask)
@@ -336,7 +343,7 @@ def _class_scan(
     _check_budget(len(reps), budget, "orbit representatives")
     predicate = is_nilpotent if nilpotent else is_solvable
     failure = _first_failure(
-        group.degree, g._img, ((h,) for h in reps), predicate
+        group, g._img, ((h,) for h in reps), predicate
     )
     witness = None
     if failure is not None:
@@ -382,7 +389,7 @@ def _random_search(
             xs[:] = [random_element(group, rng) for _ in range(k)]
             yield tuple(conjugate(x._img) for x in xs)
 
-    failure = _first_failure(group.degree, g_raw, samples(), is_solvable)
+    failure = _first_failure(group, g_raw, samples(), is_solvable)
     if failure is None:
         return CriterionVerdict(g, True, None, RANDOMIZED, budget)
     # the kernel stops at the failing sample, so xs holds its conjugators
@@ -531,7 +538,7 @@ def four_conjugate_element_test(
 
     def failure(hs, sub=None):
         if sub is None:  # a failing prefix: report its first completion
-            sub = _span(group.degree, [g_raw, *hs])
+            sub = _span(group, [g_raw, *hs])
         conjs = [
             _conjugator_to(cls, g, Permutation._from_raw(h)) for h in hs
         ]
@@ -550,7 +557,7 @@ def four_conjugate_element_test(
     def build(hs, mask, *lives) -> Optional[Bsgs]:
         """Build <g, *hs>: the subgroup if it is not solvable, else None
         once it is in the cover and in each of the live lists."""
-        sub = _span(group.degree, [g_raw, *hs])
+        sub = _span(group, [g_raw, *hs])
         if not is_solvable(sub):
             return sub
         k = cover.add(sub, mask)
@@ -630,7 +637,7 @@ def class_pair_solvability(
         )
         _check_budget(checked + len(reps), budget, "class pairs")
         failure = _first_failure(
-            group.degree, rep._img, ((h,) for h in reps), is_solvable
+            group, rep._img, ((h,) for h in reps), is_solvable
         )
         if failure is not None:
             i, (h,), sub = failure
@@ -682,7 +689,7 @@ def thompson_test(
         cz = centralizer(group, rep, cls)
         ys = _orbit_partition_reps(elements, cz._gens_raw, group._chain.base)
         failure = _first_failure(
-            group.degree, rep._img, ((y,) for y in ys), is_solvable
+            group, rep._img, ((y,) for y in ys), is_solvable
         )
         if failure is not None:
             _, (y,), sub = failure
@@ -721,7 +728,7 @@ def transposition_triple_sharpness(n: int) -> SharpnessReport:
         triples += 1
         shape = _triple_shape(triple)
         if shape not in verdicts:
-            sub = _span(n, [_transposition(n, i, j) for i, j in triple])
+            sub = Bsgs(GeneratorSet(n, [_transposition(n, i, j) for i, j in triple]))
             verdicts[shape] = (sub.order, is_solvable(sub))
     return SharpnessReport(
         triples_checked=triples,
@@ -730,10 +737,10 @@ def transposition_triple_sharpness(n: int) -> SharpnessReport:
     )
 
 
-def _transposition(n: int, i: int, j: int) -> tuple:
+def _transposition(n: int, i: int, j: int) -> Permutation:
     img = list(range(n))
     img[i], img[j] = j, i
-    return tuple(img)
+    return Permutation._from_raw(tuple(img))
 
 
 def _triple_shape(edges) -> tuple:

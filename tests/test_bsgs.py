@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from solvrad import bsgs, structure
 from solvrad.bsgs import (
+    Bsgs,
     CapExceededError,
     GeneratorSet,
     MembershipError,
@@ -18,8 +20,11 @@ from solvrad.bsgs import (
     normal_closure,
     random_element,
     same_subgroup,
+    _Chain,
 )
+from solvrad.criteria import _span
 from solvrad.perm import DegreeMismatchError, Permutation, _inv, _mul, parse_cycles
+from solvrad.structure import derived_subgroup
 
 SMALL_SPECS = [
     "S(3)", "S(4)", "S(5)", "A(4)", "A(5)", "C(12)", "D(4)", "D(5)", "D(6)",
@@ -386,6 +391,172 @@ class TestChainInverses:
 
     def test_sz8(self, sz8):
         _check_chain(sz8, samples=50)
+
+
+def _chain_state(chain):
+    """Everything a chain holds, dict insertion orders included."""
+    return (
+        chain.base,
+        chain.levels,
+        [list(t.items()) for t in chain.transversals],
+        [list(t.items()) for t in chain.inverses],
+        chain.points,
+    )
+
+
+class _UnboundedChain(_Chain):
+    """A chain that ignores its bound, so its Schreier-Sims sweeps to the
+    end; patched in as bsgs._Chain, it gives the unbounded builds."""
+
+    __slots__ = ()
+
+    def __init__(self, degree, gens=(), bound=None):
+        super().__init__(degree, gens)
+
+
+def _unbounded_closure(group, seeds):
+    """normal_closure without the bound: every conjugation round runs, and
+    every chain extension sweeps to the end."""
+    ident = tuple(range(group.degree))
+    amb = group._gens_raw
+    closure_gens = []
+    for s in seeds:
+        if s._img != ident and s._img not in closure_gens:
+            closure_gens.append(s._img)
+    chain = _Chain(group.degree, closure_gens)
+    frontier = list(closure_gens)
+    while frontier:
+        new = []
+        for c in frontier:
+            for a in amb:
+                t = _mul(a, _mul(c, _inv(a)))
+                if t not in new and not chain.contains(t):
+                    new.append(t)
+        chain.extend(new)
+        closure_gens.extend(new)
+        frontier = new
+    return Bsgs._wrap(group.degree, chain, closure_gens)
+
+
+def _check_bounded_build(group, gens_raw) -> bool:
+    """A scan build of members of `group`, bounded by the group's order,
+    has the unbounded chain of the same generators; returns whether the
+    bound was reached."""
+    bounded = _span(group, gens_raw)._chain
+    assert bounded.bound == group.order
+    assert _chain_state(bounded) == _chain_state(_Chain(group.degree, gens_raw))
+    return bounded.order() == group.order
+
+
+def _check_closure(group, seeds):
+    nc = normal_closure(group, seeds)
+    ref = _unbounded_closure(group, seeds)
+    assert _chain_state(nc._chain) == _chain_state(ref._chain)
+    assert nc._gens_raw == ref._gens_raw
+
+
+def _check_centralizers(group, monkeypatch):
+    classes = conjugacy_classes(group)
+    bounded = [centralizer(group, c.representative, c) for c in classes]
+    with monkeypatch.context() as m:
+        m.setattr(bsgs, "_Chain", _UnboundedChain)
+        free = [centralizer(group, c.representative, c) for c in classes]
+    for a, b in zip(bounded, free):
+        assert _chain_state(a._chain) == _chain_state(b._chain)
+
+
+def _random_member_gens(group, rng, k):
+    return [random_element(group, rng)._img for _ in range(k)]
+
+
+class TestKnownOrderStop:
+    """Builds inside a group of known order stop Schreier-Sims once they
+    reach that order, and come out as the full sweep would."""
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_named_groups(self, spec, group_of):
+        g = group_of(spec)
+        assert _check_bounded_build(g, g._gens_raw)
+        rng = random.Random(spec)
+        for k in (1, 2, 2, 3):
+            _check_bounded_build(g, _random_member_gens(g, rng, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.permutations(list(range(1, n + 1))).map(Permutation),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_groups(self, gens, seed):
+        g = build_bsgs(GeneratorSet(gens[0].degree, gens))
+        rng = random.Random(seed)
+        for k in (1, 2, 3):
+            _check_bounded_build(g, _random_member_gens(g, rng, k))
+        _check_closure(g, [random_element(g, rng)])
+
+    def test_sz8_random_subgroups(self, sz8):
+        rng = random.Random(8)
+        reached = [
+            _check_bounded_build(sz8, _random_member_gens(sz8, rng, k))
+            for k in (1, 2, 2, 2, 3, 3)
+        ]
+        assert any(reached) and not all(reached)
+
+    @pytest.mark.parametrize(
+        "spec", ["S(5)", "A(5)", "direct(C(5),A(5))", "PSL2(7)", "direct(C(4),S(3))"]
+    )
+    def test_closures_derived_and_centralizers(self, spec, group_of, monkeypatch):
+        g = group_of(spec)
+        for cls in conjugacy_classes(g):
+            _check_closure(g, [cls.representative])
+        h = g
+        for _ in range(3):
+            with monkeypatch.context() as m:
+                m.setattr(structure, "normal_closure", _unbounded_closure)
+                free = derived_subgroup(h)
+            d = derived_subgroup(h)
+            assert _chain_state(d._chain) == _chain_state(free._chain)
+            assert d._gens_raw == free._gens_raw
+            h = d
+        _check_centralizers(g, monkeypatch)
+
+    def test_sz8_closures_and_centralizers(self, sz8, sz8_classes, monkeypatch):
+        for cls in sz8_classes:
+            _check_closure(sz8, [cls.representative])
+        _check_centralizers(sz8, monkeypatch)
+
+    def test_bounded_sz8_closure_sifts_less(self, sz8, sz8_classes, monkeypatch):
+        calls = [0]
+        sift = _Chain.sift
+
+        def counted(self, g, start=0):
+            calls[0] += 1
+            return sift(self, g, start)
+
+        monkeypatch.setattr(_Chain, "sift", counted)
+        rep = sz8_classes[1].representative
+        nc = normal_closure(sz8, [rep])
+        bounded, calls[0] = calls[0], 0
+        ref = _unbounded_closure(sz8, [rep])
+        assert nc.order == ref.order == sz8.order
+        assert 0 < bounded < calls[0]
+
+    def test_order_past_the_bound_raises(self, group_of):
+        s4 = group_of("S(4)")
+        with pytest.raises(MembershipError, match="exceeds its bound"):
+            _Chain(4, s4._gens_raw, 3)
+        a4 = group_of("A(4)")
+        chain = _Chain(4, a4._gens_raw, a4.order)
+        assert chain.order() == 12
+        with pytest.raises(MembershipError, match="exceeds its bound"):
+            chain.extend([parse_cycles("(1,2)", 4)._img])
+        with pytest.raises(MembershipError, match="exceeds its bound"):
+            Bsgs(GeneratorSet(4, s4.generators), a4.order // 2)
 
 
 def _reference_enumeration(group):

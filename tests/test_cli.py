@@ -275,9 +275,17 @@ class TestSuite:
             ({"entries": [{"command": "two", "spec": "A(5)",
                            "flag": {"budget": 3}}]},
              "entry 0: unknown key 'flag'"),
+            ({"entries": [{"command": ["bs"], "spec": "S(4)"}]},
+             "entry 0: unknown command ['bs']"),
+            ({"entries": [{"spec": "S(4)"}]},
+             "entry 0: unknown command None"),
+            ({"entries": [{"command": "info", "spec": "S(3)"},
+                          {"command": "suite", "spec": "S(4)"}]},
+             "entry 1: unknown command 'suite'"),
         ],
         ids=["top-level-list", "entry-not-object", "flags-not-object",
-             "randomized-not-bool", "unknown-flag", "unknown-entry-key"],
+             "randomized-not-bool", "unknown-flag", "unknown-entry-key",
+             "command-not-string", "command-missing", "command-unknown"],
     )
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"
