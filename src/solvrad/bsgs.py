@@ -484,6 +484,39 @@ def _conjugation_orbit(
     return members, tree
 
 
+def _orbit_partition_reps(
+    elements_sorted: list, cent_gens: list, base: Sequence[int]
+) -> list:
+    """Lex-minimal representative of each centralizer-conjugation orbit on a
+    sorted class (or union of classes); reps come out in ascending order.
+
+    `base` is a base of the ambient group: the domain is keyed by base
+    image, and each conjugate is looked up by its key, never built."""
+    if not cent_gens:
+        return list(elements_sorted)
+    index = {_base_image(e, base): e for e in elements_sorted}
+    steps = [(s, _base_image(_inv(s), base)) for s in cent_gens]
+    visited = set()
+    reps = []
+    for k, e in index.items():
+        if k in visited:
+            continue
+        reps.append(e)
+        visited.add(k)
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for s, pull in steps:
+                    kz = _conjugate_key(s, y, pull)
+                    if kz not in visited:
+                        visited.add(kz)
+                        nxt.append(index[kz])
+            frontier = nxt
+    assert len(visited) == len(elements_sorted)
+    return reps
+
+
 def _tree_conjugator(tree: dict, gens: list, k: tuple, known: dict) -> tuple:
     """The conjugator u of the orbit member keyed k (u x u^-1 = member, for
     the tree's root x), as the product of the generators on its path up to
@@ -512,10 +545,15 @@ class ConjugacyClass:
     h's path to the root, times the root's conjugator, which is the
     re-rooting factor u(rep)^-1 when the walk started at another member and
     the identity otherwise.
+
+    The class also computes, once and on first use, what a criterion scan of
+    it needs: `centralizer`, C_G(rep) from the class's tree, and `orbit_reps`,
+    the ascending smallest members of the C_G(rep)-orbits on the class.
     """
 
     __slots__ = (
-        "representative", "_elements_raw", "_group", "_tree", "_root", "degree"
+        "representative", "_elements_raw", "_group", "_tree", "_root", "degree",
+        "_centralizer", "_orbit_reps",
     )
 
     def __init__(
@@ -527,6 +565,21 @@ class ConjugacyClass:
         self._tree = tree
         self._root = root  # (root key, root conjugator)
         self.representative = Permutation._from_raw(elements_raw[0])
+        self._centralizer = self._orbit_reps = None
+
+    @property
+    def centralizer(self) -> Bsgs:
+        if self._centralizer is None:
+            self._centralizer = centralizer(self._group, self.representative, self)
+        return self._centralizer
+
+    @property
+    def orbit_reps(self) -> list[tuple]:
+        if self._orbit_reps is None:
+            self._orbit_reps = _orbit_partition_reps(
+                self._elements_raw, self.centralizer._gens_raw, self._group._chain.base
+            )
+        return self._orbit_reps
 
     @property
     def elements(self) -> list[Permutation]:

@@ -13,6 +13,9 @@ theorems), 3 = a budget or element cap was exceeded, 4 = usage or parse
 error.  Reports are a single JSON document on stdout (and --out); progress
 goes to stderr only.  Report content is independent of --threads; identical
 (command, spec, seed) runs are byte-identical except for timing fields.
+
+Suite entries with one spec and element cap share one GroupContext: its group,
+classes, centralizers, orbit representatives and oracles are computed once.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import __version__
 from .bsgs import (
-    Bsgs,
     CapExceededError,
     DEFAULT_ELEMENT_CAP,
     build_bsgs,
@@ -69,7 +72,7 @@ USAGE_ERRORS = (GroupSpecError, GroupFileError, CycleFormatError, ValueError)
 # INTEGER_FLAGS must be JSON integers (not floats, strings or booleans)
 ENTRY_KEYS = ("command", "spec", "flags")
 INTEGER_FLAGS = ("budget", "seed", "element_cap", "n")
-FLAGS = ("randomized", "mode", *INTEGER_FLAGS)
+FLAGS = ("randomized", *INTEGER_FLAGS)
 
 CONTRADICTION_MESSAGE = (
     "theorem contradiction detected: this indicates a bug in this tool, "
@@ -125,8 +128,8 @@ def _progress(msg: str) -> None:
     print(f"[solvrad] {msg}", file=sys.stderr, flush=True)
 
 
-def _group_info(spec: str, group: Bsgs) -> dict:
-    return {"spec_text": spec, "degree": group.degree, "order": group.order}
+def _group_info(ctx: GroupContext) -> dict:
+    return {"spec_text": ctx.spec, "degree": ctx.group.degree, "order": ctx.group.order}
 
 
 def _require_positive(name: str, value: Optional[int]) -> None:
@@ -134,41 +137,42 @@ def _require_positive(name: str, value: Optional[int]) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _group_and_classes(spec: str, element_cap: int, memo: dict) -> tuple[Bsgs, list]:
-    """The group of `spec` and its conjugacy classes.  A pair that an
-    earlier successful build stored in the memo under (spec, element_cap)
-    is reused instead of being built again."""
-    if not isinstance(spec, str):
-        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
-    key = (spec, element_cap)
-    if key not in memo:
-        group = build_bsgs(construct(spec))
-        memo[key] = group, conjugacy_classes(group, element_cap)
-    return memo[key]
+class GroupContext:
+    """The group of one (spec, element cap), its classes, and, on first use,
+    its radical oracles and derived series, each computed once."""
+
+    def __init__(self, spec: str, element_cap: int):
+        self.spec = spec
+        self.element_cap = element_cap
+        self.group = build_bsgs(construct(spec))
+        self.classes = conjugacy_classes(self.group, element_cap)
+
+    @cached_property
+    def solvable_radical(self):
+        return solvable_radical_oracle(self.group, self.classes)
+
+    @cached_property
+    def fitting_radical(self):
+        return fitting_oracle(self.group, self.classes)
+
+    @cached_property
+    def series(self):
+        return derived_series(self.group)
 
 
-def cmd_info(spec: str, group: Bsgs, classes: list) -> tuple[int, VerificationReport]:
-    profiles = prime_order_elements(classes)
+def cmd_info(ctx: GroupContext) -> tuple[int, VerificationReport]:
+    profiles = prime_order_elements(ctx.classes)
     report = VerificationReport(
         command="info",
-        group=_group_info(spec, group),
+        group=_group_info(ctx),
         details={
-            "class_count": len(classes),
-            "class_sizes": sorted(c.class_size for c in classes),
-            "element_orders": sorted({c.representative.order() for c in classes}),
+            "class_count": len(ctx.classes),
+            "class_sizes": sorted(c.class_size for c in ctx.classes),
+            "element_orders": sorted({c.representative.order() for c in ctx.classes}),
             "prime_order_gt3_class_orders": sorted(p.order for p in profiles),
         },
     )
     return EXIT_OK, report
-
-
-def _solvability_oracle(group: Bsgs) -> tuple[bool, int]:
-    """Whether the group is solvable, and the order of the last term of its
-    derived series (the group's order when solvable), from one series."""
-    series = derived_series(group)
-    if series.terminated:
-        return True, group.order
-    return False, series.terms[-1].order
 
 
 def _pairs_outcome(pv) -> tuple[bool, Optional[int], dict]:
@@ -191,33 +195,33 @@ def _thompson_outcome(tv) -> tuple[bool, Optional[int], dict]:
     }
 
 
-# The theorems of `verify`.  A radical row runs a criterion and its oracle
-# and gives both RadicalResults, which are compared class by class.  A
+# The theorems of `verify`.  A radical row runs a criterion and gives its
+# RadicalResult and its oracle's, which are compared class by class.  A
 # whole-group row runs a criterion on the whole group and gives whether it
 # holds, the order of the failing subgroup, and its details; it is compared
-# with the group's solvability.  Each row calls module globals by name when
-# it runs, never a function captured at import, so a rebound global (a
-# tracer's span, a test's stand-in) is the one that runs.
+# with the group's solvability.  Each row, and the context's oracles, call
+# module globals by name when they run, never a function captured at import,
+# so a rebound global (a tracer's span, a test's stand-in) is the one that runs.
 RADICAL_THEOREMS = {
-    "bs": lambda group, classes, mode, budget, seed: (
-        baer_suzuki_set(group, classes, budget),
-        fitting_oracle(group, classes),
+    "bs": lambda ctx, mode, budget, seed: (
+        baer_suzuki_set(ctx.group, ctx.classes, budget),
+        ctx.fitting_radical,
     ),
-    "four": lambda group, classes, mode, budget, seed: (
-        four_conjugate_radical(group, classes, mode, budget, seed),
-        solvable_radical_oracle(group, classes),
+    "four": lambda ctx, mode, budget, seed: (
+        four_conjugate_radical(ctx.group, ctx.classes, mode, budget, seed),
+        ctx.solvable_radical,
     ),
-    "two": lambda group, classes, mode, budget, seed: (
-        two_conjugate_radical(group, classes, mode, budget, seed),
-        solvable_radical_oracle(group, classes),
+    "two": lambda ctx, mode, budget, seed: (
+        two_conjugate_radical(ctx.group, ctx.classes, mode, budget, seed),
+        ctx.solvable_radical,
     ),
 }
 WHOLE_GROUP_THEOREMS = {
-    "pairs": lambda group, classes, budget, element_cap: _pairs_outcome(
-        class_pair_solvability(group, classes, budget)
+    "pairs": lambda ctx, budget: _pairs_outcome(
+        class_pair_solvability(ctx.group, ctx.classes, budget)
     ),
-    "thompson": lambda group, classes, budget, element_cap: _thompson_outcome(
-        thompson_test(group, element_cap, classes)
+    "thompson": lambda ctx, budget: _thompson_outcome(
+        thompson_test(ctx.group, ctx.element_cap, ctx.classes)
     ),
 }
 THEOREMS = (*RADICAL_THEOREMS, *WHOLE_GROUP_THEOREMS)
@@ -243,26 +247,17 @@ def _compare_radicals(result, oracle, mode: str) -> bool:
 
 
 def cmd_verify(
-    theorem: str,
-    spec: str,
-    group: Bsgs,
-    classes: list,
-    mode: str,
-    budget: Optional[int],
-    seed: int,
-    element_cap: int,
+    theorem: str, ctx: GroupContext, mode: str, budget: Optional[int], seed: int
 ) -> tuple[int, VerificationReport]:
     # an exhaustive-only theorem reports so under --randomized; a --budget
     # given with --randomized counts samples, so it bounds no scan
     if theorem not in SAMPLED_THEOREMS and mode == RANDOMIZED:
         mode, budget = EXHAUSTIVE, None
     budget = _budget_or_default(budget, mode)
-    _progress(f"verify {theorem} {spec}: order {group.order}")
+    _progress(f"verify {theorem} {ctx.spec}: order {ctx.group.order}")
 
     if theorem in RADICAL_THEOREMS:
-        result, oracle = RADICAL_THEOREMS[theorem](
-            group, classes, mode, budget, seed
-        )
+        result, oracle = RADICAL_THEOREMS[theorem](ctx, mode, budget, seed)
         per_element = [_verdict_dict(v) for v in result.verdicts]
         comparison = {
             "oracle_order": oracle.subgroup.order,
@@ -270,24 +265,23 @@ def cmd_verify(
             "equal": _compare_radicals(result, oracle, mode),
         }
         details = {}
-        if len(result.verdicts) < len(classes):
+        if len(result.verdicts) < len(ctx.classes):
             details["tested_class_reps"] = len(result.verdicts)
     else:
-        holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](
-            group, classes, budget, element_cap
-        )
-        solvable, oracle_order = _solvability_oracle(group)
+        holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](ctx, budget)
+        series = ctx.series  # a nonsolvable group's ends at its perfect core
+        solvable = series.terminated
         per_element = []
         comparison = {
-            "oracle_order": oracle_order,
-            "criterion_order": group.order if holds else failing_order,
+            "oracle_order": ctx.group.order if solvable else series.terms[-1].order,
+            "criterion_order": ctx.group.order if holds else failing_order,
             "equal": holds == solvable,
         }
         details.update(criterion_holds=holds, group_is_solvable=solvable)
 
     report = VerificationReport(
         command=f"verify {theorem}",
-        group=_group_info(spec, group),
+        group=_group_info(ctx),
         search_mode=mode,
         rng_seed=seed if mode == RANDOMIZED else None,
         per_element_results=per_element,
@@ -334,7 +328,7 @@ def cmd_suite(
 
     sub_reports = []
     worst = EXIT_OK
-    built: dict = {}  # (spec, element_cap) -> (group, classes), this call only
+    built: dict = {}  # (spec, element_cap) -> GroupContext, this call only
     for entry in entries:
         flags = {"element_cap": element_cap, **entry.get("flags", {})}
         if seed is not None:
@@ -406,31 +400,33 @@ def _run_entry(
 ) -> tuple[int, VerificationReport]:
     """The exit code and report of one command-line or suite entry, whose
     command is one of COMMANDS and whose flags are named as in a suite
-    config; `memo` shares (group, classes) builds between entries.  An
-    expected failure is reported under the success report's name.  The
-    `cmd_*` functions and `conjugacy_classes` are read as module globals at
-    call time, so a rebound one runs."""
+    config; `memo` shares one GroupContext per (spec, element cap) between
+    entries.  An expected failure is reported under the success report's
+    name.  The `cmd_*` functions and `conjugacy_classes` are read as module
+    globals at call time, so a rebound one runs."""
     name = f"verify {command}" if command in THEOREMS else command
-    mode = RANDOMIZED if flags.get("randomized") else flags.get("mode", EXHAUSTIVE)
+    mode = RANDOMIZED if flags.get("randomized") else EXHAUSTIVE
     budget = flags.get("budget")
     cap = flags["element_cap"]
     t0 = time.perf_counter()
     try:
-        if mode not in (EXHAUSTIVE, RANDOMIZED):
-            raise ValueError(
-                f"unknown search mode {mode!r}; use {EXHAUSTIVE!r} or {RANDOMIZED!r}"
-            )
         _require_positive("budget", budget)
         _require_positive("element_cap", cap)
         if command == "sharpness":
             code, report = cmd_sharpness(flags["n"])
-        elif command == "info":
-            code, report = cmd_info(spec, *_group_and_classes(spec, cap, memo))
         else:
-            group, classes = _group_and_classes(spec, cap, memo)
-            code, report = cmd_verify(
-                command, spec, group, classes, mode, budget, flags.get("seed", 0), cap
-            )
+            # checked first: a spec that is not a string may not be hashable
+            if not isinstance(spec, str):
+                raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
+            if (spec, cap) not in memo:
+                memo[spec, cap] = GroupContext(spec, cap)
+            ctx = memo[spec, cap]
+            if command == "info":
+                code, report = cmd_info(ctx)
+            else:
+                code, report = cmd_verify(
+                    command, ctx, mode, budget, flags.get("seed", 0)
+                )
     except BUDGET_ERRORS + USAGE_ERRORS as e:
         return _failure(name, spec, e)
     report.timing_ms = (time.perf_counter() - t0) * 1000.0

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bsgs import (
     Bsgs,
@@ -48,15 +48,14 @@ from .bsgs import (
     ConjugacyClass,
     GeneratorSet,
     MembershipError,
-    _base_image,
-    _conjugate_key,
+    _orbit_partition_reps,
     centralizer,
     class_of,
     conjugacy_classes,
     normal_closure,
     random_element,
 )
-from .perm import Permutation, _inv, _mul, is_prime
+from .perm import Permutation, _mul, is_prime
 from .structure import (
     CRITERION,
     FITTING,
@@ -162,39 +161,6 @@ def _require_prime_order_gt3(g: Permutation) -> int:
     return n
 
 
-def _orbit_partition_reps(
-    elements_sorted: list, cent_gens: list, base: Sequence[int]
-) -> list:
-    """Lex-minimal representative of each centralizer-conjugation orbit on a
-    sorted class (or union of classes); reps come out in ascending order.
-
-    `base` is a base of the ambient group: the domain is keyed by base
-    image, and each conjugate is looked up by its key, never built."""
-    if not cent_gens:
-        return list(elements_sorted)
-    index = {_base_image(e, base): e for e in elements_sorted}
-    steps = [(s, _base_image(_inv(s), base)) for s in cent_gens]
-    visited = set()
-    reps = []
-    for k, e in index.items():
-        if k in visited:
-            continue
-        reps.append(e)
-        visited.add(k)
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s, pull in steps:
-                    kz = _conjugate_key(s, y, pull)
-                    if kz not in visited:
-                        visited.add(kz)
-                        nxt.append(index[kz])
-            frontier = nxt
-    assert len(visited) == len(elements_sorted)
-    return reps
-
-
 def reduced_conjugate_orbit(
     group: Bsgs,
     x: Permutation,
@@ -217,6 +183,15 @@ def _conjugator_to(
 ) -> Permutation:
     """Some x with x g x^-1 = h, for two members of the same class."""
     return cls.conjugator(h) * cls.conjugator(g).inverse()
+
+
+def _scan_reps(group: Bsgs, g: Permutation, cls: ConjugacyClass) -> list[tuple]:
+    """The ascending C_G(g)-orbit representatives on `cls`, the class of g:
+    the class's own when g is its representative, else from C_G(g)."""
+    if g._img == cls._elements_raw[0]:
+        return cls.orbit_reps
+    cz = centralizer(group, g, cls)
+    return _orbit_partition_reps(cls._elements_raw, cz._gens_raw, group._chain.base)
 
 
 def _witness_for(sub: Bsgs, conjugators, solvable: bool = False) -> Witness:
@@ -331,15 +306,12 @@ def _class_scan(
     group: Bsgs,
     g: Permutation,
     cls: ConjugacyClass,
-    cz: Bsgs,
     budget: int,
     nilpotent: bool = False,
 ) -> CriterionVerdict:
     """Exhaustive verdict on every <g, xgx^-1> being solvable (or
     nilpotent), over the C_G(g)-orbit representatives of the class of g."""
-    reps = _orbit_partition_reps(
-        cls._elements_raw, cz._gens_raw, group._chain.base
-    )
+    reps = _scan_reps(group, g, cls)
     _check_budget(len(reps), budget, "orbit representatives")
     predicate = is_nilpotent if nilpotent else is_solvable
     failure = _first_failure(
@@ -404,7 +376,6 @@ def two_conjugate_test(
     budget: Optional[int] = None,
     rng_seed: int = 0,
     class_of_g: Optional[ConjugacyClass] = None,
-    cent: Optional[Bsgs] = None,
 ) -> CriterionVerdict:
     """Does every x in G give a solvable <g, xgx^-1>?
 
@@ -420,8 +391,7 @@ def two_conjugate_test(
     if mode == RANDOMIZED:
         return _random_search(group, g, 1, budget, rng_seed)
     cls = class_of_g if class_of_g is not None else class_of(group, g)
-    cz = cent if cent is not None else centralizer(group, g, cls)
-    return _class_scan(group, g, cls, cz, budget)
+    return _class_scan(group, g, cls, budget)
 
 
 def nonsolvable_witness_search(
@@ -470,8 +440,7 @@ def baer_suzuki_set(
         rep = cls.representative
         if rep.is_identity():
             return CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
-        cz = centralizer(group, rep, cls)
-        return _class_scan(group, rep, cls, cz, budget, nilpotent=True)
+        return _class_scan(group, rep, cls, budget, nilpotent=True)
 
     return _criterion_radical(group, classes, FITTING, test)
 
@@ -506,7 +475,6 @@ def four_conjugate_element_test(
     tuple_budget: Optional[int] = None,
     rng_seed: int = 0,
     class_of_g: Optional[ConjugacyClass] = None,
-    cent: Optional[Bsgs] = None,
 ) -> CriterionVerdict:
     """Is <g, aga^-1, bgb^-1, cgc^-1> solvable for all a, b, c in G?
 
@@ -529,8 +497,7 @@ def four_conjugate_element_test(
 
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     raw = cls._elements_raw
-    cz = cent if cent is not None else centralizer(group, g, cls)
-    h1_reps = _orbit_partition_reps(raw, cz._gens_raw, group._chain.base)
+    h1_reps = _scan_reps(group, g, cls)
     total = len(h1_reps) * len(raw) * len(raw)
     _check_budget(total, tuple_budget, "reduced triples")
     g_raw = g._img
@@ -631,10 +598,7 @@ def class_pair_solvability(
     checked = 0
     for cls in classes:
         rep = cls.representative
-        cz = centralizer(group, rep, cls)
-        reps = _orbit_partition_reps(
-            cls._elements_raw, cz._gens_raw, group._chain.base
-        )
+        reps = cls.orbit_reps
         _check_budget(checked + len(reps), budget, "class pairs")
         failure = _first_failure(
             group, rep._img, ((h,) for h in reps), is_solvable
@@ -686,7 +650,7 @@ def thompson_test(
             # the orbits of C_G(1) = G on the elements, the classes again
             checked += len(elements)
             continue
-        cz = centralizer(group, rep, cls)
+        cz = cls.centralizer
         ys = _orbit_partition_reps(elements, cz._gens_raw, group._chain.base)
         failure = _first_failure(
             group, rep._img, ((y,) for y in ys), is_solvable

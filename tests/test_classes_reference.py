@@ -7,7 +7,8 @@ the full-tuple orbit walk: every conjugate built as s y s^-1, an eager
 transversal with one conjugator per member, re-rooted at the representative
 when the walk started elsewhere.  Classes, representatives, conjugators,
 centralizer generators and centralizer-orbit representatives must agree
-exactly, not just up to group equality.
+exactly, not just up to group equality, and so must the centralizer and
+orbit representatives that each class keeps.
 """
 
 import pytest
@@ -146,6 +147,11 @@ def assert_centralizers_match(
     assert cz._gens_raw == ref_centralizer_gens(
         group, rep._img, elements, transversal
     )
+    # the class's own centralizer and orbit representatives, built once
+    assert cls.centralizer._gens_raw == cz._gens_raw
+    assert cls.orbit_reps == ref_orbit_partition_reps(elements, cz._gens_raw)
+    assert cls.centralizer is cls.centralizer
+    assert cls.orbit_reps is cls.orbit_reps
     if walk:
         assert centralizer(group, rep)._gens_raw == ref_centralizer_gens(
             group, rep._img

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import solvrad
+import solvrad.bsgs
 import solvrad.cli
 import solvrad.criteria
 from solvrad.bsgs import GeneratorSet, build_bsgs
@@ -325,13 +327,18 @@ class TestSuite:
         assert "entries" not in rep["details"]
 
     def test_unknown_mode_is_usage_error(self, capsys, tmp_path):
-        code, rep = self.suite(capsys, tmp_path, [
-            {"command": "two", "spec": "A(5)", "flags": {"mode": "bogus"}},
-        ])
-        assert code == EXIT_USAGE
-        entry = rep["details"]["entries"][0]
-        assert entry["exit_code"] == EXIT_USAGE
-        assert "unknown search mode 'bogus'" in entry["report"]["details"]["error"]
+        # `randomized` alone sets the search mode; `mode` is no flag, so the
+        # whole config is refused before its valid first entry runs, even
+        # with a mode that names one
+        for mode in ("bogus", "exhaustive"):
+            code, rep = self.suite(capsys, tmp_path, [
+                {"command": "info", "spec": "S(3)"},
+                {"command": "two", "spec": "A(5)",
+                 "flags": {"randomized": True, "mode": mode}},
+            ])
+            assert code == EXIT_USAGE
+            assert "entry 1: unknown flag 'mode'" in rep["details"]["error"]
+            assert "entries" not in rep["details"]
 
     def test_negative_budget_is_usage_error(self, capsys, tmp_path):
         code, rep = self.suite(capsys, tmp_path, [
@@ -379,8 +386,26 @@ class TestSuite:
             builds.append(element_cap)
             return real(group, element_cap)
 
+        # centralizers per (group, element) and oracles per group
+        centralizers = Counter()
+        real_centralizer = solvrad.bsgs.centralizer
+
+        def counted_centralizer(group, x, cls=None):
+            centralizers[group, x] += 1
+            return real_centralizer(group, x, cls)
+
+        oracles = Counter()
+        real_oracle = solvrad.cli.solvable_radical_oracle
+
+        def counted_oracle(group, classes):
+            oracles[group] += 1
+            return real_oracle(group, classes)
+
         monkeypatch.setattr(solvrad.cli, "conjugacy_classes", counted)
         monkeypatch.setattr(solvrad.criteria, "conjugacy_classes", counted)
+        for module in (solvrad.bsgs, solvrad.criteria):
+            monkeypatch.setattr(module, "centralizer", counted_centralizer)
+        monkeypatch.setattr(solvrad.cli, "solvable_radical_oracle", counted_oracle)
         entries = [
             {"command": "info", "spec": "S(5)"},
             {"command": "info", "spec": "S(5)", "flags": {"element_cap": 10}},
@@ -398,6 +423,10 @@ class TestSuite:
         assert code == EXIT_BUDGET
         # one successful build shared by seven entries; the capped one fails
         assert builds == [200_000, 10]
+        # bs, two, pairs and thompson share each class's centralizer, and
+        # both two entries share the solvable-radical oracle
+        assert len(centralizers) == 7 and set(centralizers.values()) == {1}
+        assert list(oracles.values()) == [1]
         got = rep["details"]["entries"]
         assert [e["exit_code"] for e in got] == [
             EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,

@@ -149,7 +149,7 @@ class TestTwoConjugate:
         cls = class_of(g, x)
         cent = centralizer(g, x)
         reps = reduced_conjugate_orbit(g, x, cls, cent)
-        v = two_conjugate_test(g, x, class_of_g=cls, cent=cent)
+        v = two_conjugate_test(g, x, class_of_g=cls)
         assert v.tuples_checked == len(reps)
 
     def test_nonmember_rejected(self, group_of):
@@ -312,7 +312,7 @@ class TestFourConjugate:
         cls = class_of(g, x)
         cent = centralizer(g, x)
         reps = reduced_conjugate_orbit(g, x, cls, cent)
-        v = four_conjugate_element_test(g, x, class_of_g=cls, cent=cent)
+        v = four_conjugate_element_test(g, x, class_of_g=cls)
         assert v.tuples_checked == len(reps) * cls.class_size ** 2
 
     def test_budget_exceeded(self, group_of):
