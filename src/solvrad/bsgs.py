@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perm import (
     DegreeMismatchError,
@@ -412,14 +413,14 @@ def centralizer(
 
     chain = _Chain(group.degree, (), target)
     gens = group._gens_raw
-    pulls = [_base_image(_inv(s), base) for s in gens]
+    keys = _conjugate_keys(gens, base)
     ident = _identity(group.degree)
     done = False
     for y in orbit:
         ky = _base_image(y, base)
         u = _tree_conjugator(tree, gens, ky, known)
-        for i, (s, pull) in enumerate(zip(gens, pulls)):
-            kz = _conjugate_key(s, y, pull)
+        for i, (s, key) in enumerate(zip(gens, keys)):
+            kz = key(y)
             if tree[kz] == (ky, i):
                 continue  # a tree edge: the Schreier generator is trivial
             w = _tree_conjugator(tree, gens, kz, known)
@@ -437,13 +438,26 @@ def centralizer(
 
 def _base_image(e: tuple, base: Sequence[int]) -> tuple:
     """The images of the base points under e, which fix e within its group."""
-    return tuple(map(e.__getitem__, base))
+    return tuple([e[b] for b in base])
 
 
-def _conjugate_key(s: tuple, y: tuple, pull: tuple) -> tuple:
-    """Base image of s y s^-1, given pull, the base image of s^-1:
-    (s y s^-1)(b) = s(y(s^-1(b)))."""
-    return tuple(map(s.__getitem__, map(y.__getitem__, pull)))
+def _conjugate_keys(
+    gens: Sequence[tuple], base: Sequence[int]
+) -> list[Callable[[tuple], tuple]]:
+    """For each s in gens, the function y -> base image of s y s^-1, which
+    reads (s y s^-1)(b) = s(y(s^-1(b))) without building the conjugate.
+    The points s^-1(b) are found once per generator."""
+    return [_conjugate_key(s, _base_image(_inv(s), base)) for s in gens]
+
+
+def _conjugate_key(s: tuple, pull: tuple) -> Callable[[tuple], tuple]:
+    """y -> base image of s y s^-1, given pull, the base image of s^-1.
+    itemgetter returns a bare item, not a tuple, for a single index, so a
+    base of fewer than two points takes the plain lookups."""
+    if len(pull) < 2:
+        return lambda y: tuple([s[y[b]] for b in pull])
+    at_pull = itemgetter(*pull)
+    return lambda y: itemgetter(*at_pull(y))(s)
 
 
 def _conjugation_orbit(
@@ -462,7 +476,7 @@ def _conjugation_orbit(
     base = group._chain.base
     gens = group._gens_raw
     gens_inv = [_inv(s) for s in gens]
-    pulls = [_base_image(si, base) for si in gens_inv]
+    keys = _conjugate_keys(gens, base)
     root = _base_image(x, base)
     members = {root: x}
     tree: dict = {root: None}
@@ -470,13 +484,13 @@ def _conjugation_orbit(
     while frontier:
         nxt = []
         for ky, y in frontier:
-            for i, (s, pull) in enumerate(zip(gens, pulls)):
-                kz = _conjugate_key(s, y, pull)
+            for i, key in enumerate(keys):
+                kz = key(y)
                 if kz not in tree:
                     if lookup is not None:
                         z = lookup[kz]
                     else:
-                        z = _mul(s, _mul(y, gens_inv[i]))
+                        z = _mul(gens[i], _mul(y, gens_inv[i]))
                     tree[kz] = (ky, i)
                     members[kz] = z
                     nxt.append((kz, z))
@@ -495,7 +509,7 @@ def _orbit_partition_reps(
     if not cent_gens:
         return list(elements_sorted)
     index = {_base_image(e, base): e for e in elements_sorted}
-    steps = [(s, _base_image(_inv(s), base)) for s in cent_gens]
+    keys = _conjugate_keys(cent_gens, base)
     visited = set()
     reps = []
     for k, e in index.items():
@@ -507,8 +521,8 @@ def _orbit_partition_reps(
         while frontier:
             nxt = []
             for y in frontier:
-                for s, pull in steps:
-                    kz = _conjugate_key(s, y, pull)
+                for key in keys:
+                    kz = key(y)
                     if kz not in visited:
                         visited.add(kz)
                         nxt.append(index[kz])

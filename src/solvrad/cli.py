@@ -392,6 +392,11 @@ def _suite_entries(config_path: str) -> list:
                 )
         if command == "sharpness" and "n" not in flags:
             raise GroupFileError(f"{where}: a sharpness entry needs 'n' in its flags")
+        spec = entry.get("spec")
+        if command != "sharpness" and not isinstance(spec, str):
+            raise GroupFileError(
+                f"{where}: a group spec must be a string, got {spec!r}"
+            )
     return entries
 
 
@@ -399,11 +404,12 @@ def _run_entry(
     command, spec, flags: dict, memo: dict
 ) -> tuple[int, VerificationReport]:
     """The exit code and report of one command-line or suite entry, whose
-    command is one of COMMANDS and whose flags are named as in a suite
-    config; `memo` shares one GroupContext per (spec, element cap) between
-    entries.  An expected failure is reported under the success report's
-    name.  The `cmd_*` functions and `conjugacy_classes` are read as module
-    globals at call time, so a rebound one runs."""
+    command is one of COMMANDS, whose spec is a string unless the command is
+    sharpness, and whose flags are named as in a suite config; `memo` shares
+    one GroupContext per (spec, element cap) between entries.  An expected
+    failure is reported under the success report's name.  The `cmd_*`
+    functions and `conjugacy_classes` are read as module globals at call
+    time, so a rebound one runs."""
     name = f"verify {command}" if command in THEOREMS else command
     mode = RANDOMIZED if flags.get("randomized") else EXHAUSTIVE
     budget = flags.get("budget")
@@ -415,9 +421,6 @@ def _run_entry(
         if command == "sharpness":
             code, report = cmd_sharpness(flags["n"])
         else:
-            # checked first: a spec that is not a string may not be hashable
-            if not isinstance(spec, str):
-                raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
             if (spec, cap) not in memo:
                 memo[spec, cap] = GroupContext(spec, cap)
             ctx = memo[spec, cap]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -23,8 +24,12 @@ class CycleFormatError(ValueError):
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
-    # raw 0-based composition, apply q first: r[i] = p[q[i]]
-    return tuple(map(p.__getitem__, q))
+    # raw 0-based composition, apply q first: r[i] = p[q[i]]; itemgetter
+    # builds the tuple in C.  With one index it returns a bare int, but the
+    # only permutation of degree 1 is the identity, so p is the product.
+    if len(q) == 1:
+        return p
+    return itemgetter(*q)(p)
 
 
 def _inv(p: tuple) -> tuple:

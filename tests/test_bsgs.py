@@ -651,6 +651,30 @@ class TestBlockedDraws:
             assert g._draw_blocks is blocks
 
 
+# Base lengths 0 (the trivial group), 1, 2 and 3 (Sz(8)).
+KEY_SPECS = [("C(1)", 0), ("C(5)", 1), ("S(3)", 2), ("file:sz8.json", 3)]
+
+
+class TestBaseImageKeys:
+    @pytest.mark.parametrize("spec, base_length", KEY_SPECS)
+    def test_keys_are_base_images_of_the_built_conjugates(
+        self, spec, base_length, group_of
+    ):
+        g = group_of(spec)
+        base = g._chain.base
+        assert len(base) == base_length
+        rng = random.Random(0)
+        conjugators = g._gens_raw + [random_element(g, rng)._img for _ in range(5)]
+        ys = [random_element(g, rng)._img for _ in range(30)]
+        keys = bsgs._conjugate_keys(conjugators, base)
+        for s, key in zip(conjugators, keys):
+            for y in ys:
+                z = _mul(s, _mul(y, _inv(s)))
+                expected = tuple(z[b] for b in base)
+                assert bsgs._base_image(z, base) == expected
+                assert type(key(y)) is tuple and key(y) == expected
+
+
 class TestRandomAndEnumerate:
     @pytest.mark.parametrize("spec", sorted(SEED_5_DRAWS))
     def test_seeded_draws_pinned(self, spec, group_of):

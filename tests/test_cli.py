@@ -311,9 +311,14 @@ class TestSuite:
              "entry 1: 'element_cap' must be an integer, got 'x'"),
             ({"command": "sharpness"},
              "entry 1: a sharpness entry needs 'n' in its flags"),
+            ({"command": "two"},
+             "entry 1: a group spec must be a string, got None"),
+            # a list spec is not hashable either
+            ({"command": "info", "spec": ["S(4)"]},
+             "entry 1: a group spec must be a string, got ['S(4)']"),
         ],
         ids=["float-budget", "bool-seed", "string-budget", "string-element-cap",
-             "sharpness-without-n"],
+             "sharpness-without-n", "spec-missing", "spec-not-string"],
     )
     def test_bad_integer_flag_is_usage_error(
         self, capsys, tmp_path, bad_entry, message
@@ -368,13 +373,6 @@ class TestSuite:
             "--element-cap", "-1",
         )
         assert code == EXIT_USAGE
-
-    def test_non_string_spec_is_usage_error(self, capsys, tmp_path):
-        code, rep = self.suite(capsys, tmp_path, [
-            {"command": "info", "spec": ["S(4)"]},
-        ])
-        assert code == EXIT_USAGE
-        assert rep["details"]["entries"][0]["exit_code"] == EXIT_USAGE
 
     def test_entries_sharing_a_spec_match_their_solo_runs(
         self, capsys, tmp_path, monkeypatch

@@ -14,6 +14,8 @@ from solvrad.perm import (
     order,
     parse_cycles,
     print_cycles,
+    _inv,
+    _mul,
 )
 
 
@@ -21,17 +23,19 @@ def P(text, degree):
     return parse_cycles(text, degree)
 
 
-perms = st.integers(min_value=1, max_value=9).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
-)
+# the small degrees, and Sz(8)'s 65 and 100, the north star's largest
+DEGREES = st.one_of(st.integers(min_value=1, max_value=9), st.sampled_from([65, 100]))
+
+
+def perms_of(n):
+    return st.permutations(list(range(1, n + 1))).map(Permutation)
+
+
+perms = DEGREES.flatmap(perms_of)
 
 
 def same_degree_pairs(k):
-    return st.integers(min_value=2, max_value=8).flatmap(
-        lambda n: st.tuples(
-            *[st.permutations(list(range(1, n + 1))).map(Permutation)] * k
-        )
-    )
+    return DEGREES.flatmap(lambda n: st.tuples(*[perms_of(n)] * k))
 
 
 class TestCompose:
@@ -62,6 +66,23 @@ class TestCompose:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             compose(P("(1,2)", 3), P("(1,2)", 4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 100])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_raw_primitives_match_their_definitions(self, n, data):
+        p, q = (data.draw(perms_of(n))._img for _ in range(2))
+        pq = _mul(p, q)
+        assert type(pq) is tuple and pq == tuple(p[i] for i in q)
+        r = [None] * n
+        for i in range(n):
+            r[p[i]] = i
+        assert type(_inv(p)) is tuple and _inv(p) == tuple(r)
+
+    def test_degree_one_product_is_a_tuple(self):
+        # itemgetter with one index returns a bare item; degree 1 is guarded
+        assert _mul((0,), (0,)) == (0,)
+        assert type(_mul((0,), (0,))) is tuple
 
 
 class TestOrderInverse:
