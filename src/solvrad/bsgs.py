@@ -10,16 +10,19 @@ object is identical across runs.
 Conjugation orbits are walked by base image: an element of a group is fixed
 by the images of the group's base points, and (s y s^-1)(b) = s(y(s^-1(b))),
 so a conjugate is identified from len(base) lookups before, or instead of,
-building its image array.  Conjugacy classes take each conjugate from the
-enumerated group by that key.  A class keeps the Schreier tree of its orbit
-walk rather than a conjugator per member, and conjugators (and a
-centralizer's Schreier generators) are read from the tree on demand.
+building its image array.  Conjugacy classes number the sorted enumerated
+group once (_Numbering): each group generator's conjugation action becomes
+an array of numbers, and the class walks run on the numbers, recording a
+class id, a parent and a generator per element instead of a conjugator.
+Conjugators, and a centralizer's Schreier generators, are read from those
+arrays on demand.  Centralizer-orbit representatives are produced lazily,
+as far as a scan reads them, and counted by Burnside's lemma (_OrbitReps).
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -393,37 +396,38 @@ def centralizer(
     That order is exact, so it also bounds the centralizer's chain (see
     _Chain): the Schreier-Sims of the generator that reaches it ends there.
 
-    Each Schreier generator w^-1 s u takes its conjugators u and w from the
-    orbit's Schreier tree, on demand, and a tree edge (w = s u) is skipped
+    The orbit is numbered (see _Numbering): each Schreier generator
+    w^-1 s u takes its conjugators u and w from the walk's parent and
+    generator arrays, on demand, and a walk edge (w = s u) is skipped
     without a product.  When x is the representative of `cls`, a class of
-    `group`, the class's tree is the orbit and it is not walked again.
+    `group`, the class's walk is the orbit and it is not walked again.
     """
     if not group.contains(x):
         raise MembershipError(f"{x!r} is not a member of the group")
     xr = x._img
-    base = group._chain.base
-    if cls is not None and cls._group is group and cls._elements_raw[0] == xr:
-        orbit, tree, known = cls._elements_raw, cls._tree, dict([cls._root])
+    ident = _identity(group.degree)
+    if cls is not None and cls._table.group is group and cls.representative == x:
+        table, orbit, root = cls._table, cls._members, cls._root
+        known = {root: cls._root_conj}
     else:
-        members, tree = _conjugation_orbit(group, xr)
-        orbit = sorted(members.values())
-        known = {_base_image(xr, base): _identity(group.degree)}
+        table = _Numbering(group, sorted(_conjugation_orbit(group, xr)))
+        root = table.pos[_base_image(xr, group._chain.base)]
+        orbit = table.walk(root)
+        known = {root: ident}
     target, rem = divmod(group.order, len(orbit))
     assert rem == 0, "orbit size must divide the group order"
 
     chain = _Chain(group.degree, (), target)
     gens = group._gens_raw
-    keys = _conjugate_keys(gens, base)
-    ident = _identity(group.degree)
+    parent, via = table.parent, table.via
     done = False
     for y in orbit:
-        ky = _base_image(y, base)
-        u = _tree_conjugator(tree, gens, ky, known)
-        for i, (s, key) in enumerate(zip(gens, keys)):
-            kz = key(y)
-            if tree[kz] == (ky, i):
-                continue  # a tree edge: the Schreier generator is trivial
-            w = _tree_conjugator(tree, gens, kz, known)
+        u = table.conjugator(y, known)
+        for i, (s, act) in enumerate(zip(gens, table.actions)):
+            z = act[y]
+            if parent[z] == y and via[z] == i:
+                continue  # a walk edge: the Schreier generator is trivial
+            w = table.conjugator(z, known)
             cand = _mul(_inv(w), _mul(s, u))
             if cand != ident and not chain.contains(cand):
                 chain.extend([cand])
@@ -439,6 +443,15 @@ def centralizer(
 def _base_image(e: tuple, base: Sequence[int]) -> tuple:
     """The images of the base points under e, which fix e within its group."""
     return tuple([e[b] for b in base])
+
+
+def _base_images(elements: Sequence[tuple], points: Sequence[int]) -> Iterable[tuple]:
+    """The images of `points` under each of the elements, as tuples.
+    itemgetter builds them in C, but returns a bare item for one index, so
+    fewer than two points take the plain lookups."""
+    if len(points) > 1:
+        return map(itemgetter(*points), elements)
+    return [_base_image(e, points) for e in elements]
 
 
 def _conjugate_keys(
@@ -460,140 +473,264 @@ def _conjugate_key(s: tuple, pull: tuple) -> Callable[[tuple], tuple]:
     return lambda y: itemgetter(*at_pull(y))(s)
 
 
-def _conjugation_orbit(
-    group: Bsgs, x: tuple, lookup: Optional[dict] = None
-) -> tuple[dict, dict]:
-    """Orbit of x under conjugation by the group's generators, walked frontier
-    by frontier, generators in order, the first discovery winning.
-
+def _conjugation_orbit(group: Bsgs, x: tuple) -> list[tuple]:
+    """Orbit of x under conjugation by the group's generators, unsorted.
     Conjugates are identified by base image, so a conjugate costs one key
-    of len(base) lookups; the conjugate itself is taken from `lookup` (base
-    image -> element, the enumerated group) or, without one, built only when
-    its key is new.  Returns (members, tree), both keyed by base image:
-    members[k] is the orbit element, and tree[k] = (parent key, generator
-    index i) with element = s_i parent s_i^-1, or None at x.
-    """
-    base = group._chain.base
-    gens = group._gens_raw
-    gens_inv = [_inv(s) for s in gens]
-    keys = _conjugate_keys(gens, base)
-    root = _base_image(x, base)
-    members = {root: x}
-    tree: dict = {root: None}
-    frontier = [(root, x)]
+    of len(base) lookups and is built only when its key is new."""
+    gens, base = group._gens_raw, group._chain.base
+    steps = list(zip(gens, map(_inv, gens), _conjugate_keys(gens, base)))
+    seen = {_base_image(x, base)}
+    orbit = [x]
+    frontier = [x]
     while frontier:
         nxt = []
-        for ky, y in frontier:
-            for i, key in enumerate(keys):
-                kz = key(y)
-                if kz not in tree:
-                    if lookup is not None:
-                        z = lookup[kz]
-                    else:
-                        z = _mul(gens[i], _mul(y, gens_inv[i]))
-                    tree[kz] = (ky, i)
-                    members[kz] = z
-                    nxt.append((kz, z))
+        for y in frontier:
+            for s, s_inv, key in steps:
+                k = key(y)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(_mul(s, _mul(y, s_inv)))
+        orbit += nxt
         frontier = nxt
-    return members, tree
+    return orbit
 
 
-def _orbit_partition_reps(
-    elements_sorted: list, cent_gens: list, base: Sequence[int]
-) -> list:
-    """Lex-minimal representative of each centralizer-conjugation orbit on a
-    sorted class (or union of classes); reps come out in ascending order.
+class _Numbering:
+    """Members of a group, numbered once in sorted order, with the
+    conjugation action of the group's generators on the numbers and the
+    orbit walks over it.  The numbered set is the whole group (the classes
+    of `conjugacy_classes`) or one conjugation orbit (`class_of`).
 
-    `base` is a base of the ambient group: the domain is keyed by base
-    image, and each conjugate is looked up by its key, never built."""
-    if not cent_gens:
-        return list(elements_sorted)
-    index = {_base_image(e, base): e for e in elements_sorted}
-    keys = _conjugate_keys(cent_gens, base)
-    visited = set()
-    reps = []
-    for k, e in index.items():
-        if k in visited:
-            continue
-        reps.append(e)
-        visited.add(k)
-        frontier = [e]
+    Since the numbers follow the sorted order, a sorted list of numbers is
+    a sorted list of elements.  elements[j] is member j and pos maps a
+    member's base image to j.  actions[i][j] is the number of s_i e_j s_i^-1
+    for the i-th group generator s_i.  An orbit walk goes frontier by
+    frontier, generators in order, the first discovery winning; it gives
+    each member it reaches its orbit's id (`cid`), and, except at its root,
+    the member it came from (`parent`, -1 at a root) and the generator
+    (`via`): e_j = s e_parent s^-1 for s = s_via[j].  sizes[c] is the size
+    of orbit c.  The lists hold the int objects that are pos's values, or
+    small cached ints, so each costs one pointer per member.
+    """
+
+    __slots__ = ("group", "elements", "pos", "actions", "cid", "parent", "via", "sizes")
+
+    def __init__(self, group: Bsgs, elements: list[tuple]):
+        self.group = group
+        self.elements = elements
+        n = len(elements)
+        base = group._chain.base
+        self.pos = dict(zip(_base_images(elements, base), range(n)))
+        # (s e s^-1)(b) = s(e(s^-1(b))): each generator's conjugate keys are
+        # read in C, column by column, from the points s^-1(b)
+        self.actions = []
+        for s in group._gens_raw:
+            columns = [
+                map(s.__getitem__, map(itemgetter(p), elements))
+                for p in _base_image(_inv(s), base)
+            ]
+            self.actions.append(list(map(self.pos.__getitem__, zip(*columns))))
+        self.cid = [-1] * n
+        self.parent = [-1] * n
+        self.via = [0] * n
+        self.sizes: list[int] = []
+
+    def whole(self) -> bool:
+        """Whether the numbered set is the whole group."""
+        return len(self.elements) == self.group.order
+
+    def walk(self, root: int) -> list[int]:
+        """Walk the orbit of member `root`, which no walk has reached yet,
+        as the next orbit id; returns its members' numbers, ascending."""
+        c = len(self.sizes)
+        cid, parent, via = self.cid, self.parent, self.via
+        steps = list(enumerate(self.actions))
+        cid[root] = c
+        members = [root]
+        frontier = [root]
         while frontier:
             nxt = []
             for y in frontier:
-                for key in keys:
-                    kz = key(y)
-                    if kz not in visited:
-                        visited.add(kz)
-                        nxt.append(index[kz])
+                for i, act in steps:
+                    z = act[y]
+                    if cid[z] < 0:
+                        cid[z] = c
+                        parent[z] = y
+                        via[z] = i
+                        nxt.append(z)
+            members += nxt
             frontier = nxt
-    assert len(visited) == len(elements_sorted)
-    return reps
+        members.sort()
+        self.sizes.append(len(members))
+        return members
+
+    def conjugator(self, j: int, known: dict) -> tuple:
+        """The conjugator of member j (u x u^-1 = e_j, for the root x of j's
+        walk), as the product of the generators on its path up to the
+        nearest member in `known`; `known` holds at least the conjugator of
+        the walk's root and keeps every conjugator computed on the way."""
+        path = []
+        while j not in known:
+            path.append(j)
+            j = self.parent[j]
+        u = known[j]
+        gens = self.group._gens_raw
+        for k in reversed(path):
+            u = _mul(gens[self.via[k]], u)
+            known[k] = u
+        return u
 
 
-def _tree_conjugator(tree: dict, gens: list, k: tuple, known: dict) -> tuple:
-    """The conjugator u of the orbit member keyed k (u x u^-1 = member, for
-    the tree's root x), as the product of the generators on its path up to
-    the nearest key in `known`; `known` holds at least the root's conjugator
-    and keeps every conjugator computed on the way."""
-    path = []
-    while k not in known:
-        parent, i = tree[k]
-        path.append((k, i))
-        k = parent
-    u = known[k]
-    for k, i in reversed(path):
-        u = _mul(gens[i], u)
-        known[k] = u
-    return u
+class _OrbitReps:
+    """The smallest member of each orbit of a group C conjugating a set of
+    numbered members (a class, or the whole group), as ascending numbers,
+    produced lazily.
+
+    Iterating yields the representatives found so far, then walks on only
+    as far as the consumer reads: the next representative is the smallest
+    member that no orbit walk has reached, and its own orbit is walked only
+    when the representative after it is asked for.  Every iterator shares
+    one growing prefix, `found`.
+
+    `count` is the number of orbits.  When the members are one class K of a
+    numbering of the whole group, C must be C_G(g) for some g in K; if
+    |C| < |K|, the count is found by Burnside's lemma without the walk (see
+    _burnside_count).  Otherwise it is the length of the completed walk.
+    """
+
+    __slots__ = ("_table", "_members", "_cent", "found", "_walk", "_count")
+
+    def __init__(self, table: _Numbering, members: Sequence[int], cent: Bsgs):
+        self._table = table
+        self._members = members
+        self._cent = cent
+        self.found: list[int] = []
+        self._walk = self._reps()
+        self._count: Optional[int] = None
+
+    def __iter__(self) -> Iterator[int]:
+        found = self.found
+        i = 0
+        while True:
+            if i == len(found):
+                j = next(self._walk, None)
+                if j is None:
+                    return
+                found.append(j)
+            yield found[i]
+            i += 1
+
+    def _reps(self) -> Iterator[int]:
+        table = self._table
+        els, pos = table.elements, table.pos
+        keys = _conjugate_keys(self._cent._gens_raw, table.group._chain.base)
+        seen: set[int] = set()
+        for e in self._members:
+            if e in seen:
+                continue
+            yield e
+            seen.add(e)
+            frontier = [e]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    ey = els[y]
+                    for key in keys:
+                        z = pos[key(ey)]
+                        if z not in seen:
+                            seen.add(z)
+                            nxt.append(z)
+                frontier = nxt
+        assert len(seen) == len(self._members)
+
+    @property
+    def count(self) -> int:
+        if self._count is None:
+            table, n = self._table, len(self._members)
+            one_class = n == table.sizes[table.cid[self._members[0]]]
+            if table.whole() and one_class and self._cent.order < n:
+                self._count = _burnside_count(table, self._cent)
+            else:
+                self._count = sum(1 for _ in self)
+        return self._count
+
+
+def _burnside_count(table: _Numbering, cent: Bsgs) -> int:
+    """The number of C-orbits on the class K of g, for C = C_G(g) and a
+    numbering of the whole group G, by Burnside's lemma.  An element c of a
+    class L fixes |K n C_G(c)| = |K| |L n C| / |L| members of K (count the
+    commuting pairs in K x L two ways), so the orbits number
+    (1/|C|) sum over c in C of that = (|G|/|C|^2) sum over L of |L n C|^2 / |L|.
+    |L n C| is read from the class ids of C's enumerated elements, and
+    |G|/|L| is an integer."""
+    keys = _base_images(_enumerate_raw(cent), table.group._chain.base)
+    hits = Counter(map(table.cid.__getitem__, map(table.pos.__getitem__, keys)))
+    order = table.group.order
+    total = sum(m * m * (order // table.sizes[c]) for c, m in hits.items())
+    count, rem = divmod(total, cent.order ** 2)
+    assert rem == 0, "Burnside's count must be an integer"
+    return count
 
 
 class ConjugacyClass:
     """A conjugacy class, fully enumerated: representative (the lexicographically
     smallest member), all elements, and the class size.
 
-    Members are identified by their base images in the group.  Instead of a
-    conjugator per member, the class keeps the Schreier tree of the orbit
-    walk that found it (each member's parent and generator index), and
-    conjugator(h) reads h's conjugator from it on demand: the generators on
-    h's path to the root, times the root's conjugator, which is the
-    re-rooting factor u(rep)^-1 when the walk started at another member and
-    the identity otherwise.
+    Members are numbers of a _Numbering, of the whole group or of the class
+    alone, kept ascending.  Instead of a conjugator per member, the class
+    reads conjugator(h) from the numbering's walk arrays on demand: the
+    generators on h's path to the walk's root, times the root's conjugator,
+    which is the re-rooting factor u(rep)^-1 when the walk started at
+    another member and the identity otherwise.
 
     The class also computes, once and on first use, what a criterion scan of
-    it needs: `centralizer`, C_G(rep) from the class's tree, and `orbit_reps`,
-    the ascending smallest members of the C_G(rep)-orbits on the class.
+    it needs: `centralizer`, C_G(rep) from the class's walk, and `orbit_reps`,
+    the lazily produced ascending smallest members of the C_G(rep)-orbits
+    on the class, with their count.
     """
 
     __slots__ = (
-        "representative", "_elements_raw", "_group", "_tree", "_root", "degree",
+        "representative", "_table", "_members", "_root", "_root_conj", "degree",
         "_centralizer", "_orbit_reps",
     )
 
-    def __init__(
-        self, group: Bsgs, elements_raw: list[tuple], tree: dict, root: tuple
-    ):
-        self.degree = group.degree
-        self._group = group
-        self._elements_raw = elements_raw
-        self._tree = tree
-        self._root = root  # (root key, root conjugator)
-        self.representative = Permutation._from_raw(elements_raw[0])
+    def __init__(self, table: _Numbering, members: list[int], root: int):
+        self.degree = table.group.degree
+        self._table = table
+        self._members = members
+        self._root = root
+        rep = members[0]
+        conj = _identity(self.degree)
+        if rep != root:
+            # re-root at the canonical representative: the root's conjugator
+            # becomes to_g, which maps rep back to g (to_g rep to_g^-1 = g)
+            conj = _inv(table.conjugator(rep, {root: conj}))
+        self._root_conj = conj
+        self.representative = Permutation._from_raw(table.elements[rep])
         self._centralizer = self._orbit_reps = None
+
+    @property
+    def _elements_raw(self) -> list[tuple]:
+        return list(map(self._table.elements.__getitem__, self._members))
 
     @property
     def centralizer(self) -> Bsgs:
         if self._centralizer is None:
-            self._centralizer = centralizer(self._group, self.representative, self)
+            self._centralizer = centralizer(
+                self._table.group, self.representative, self
+            )
         return self._centralizer
 
     @property
-    def orbit_reps(self) -> list[tuple]:
+    def orbit_reps(self) -> _OrbitReps:
         if self._orbit_reps is None:
-            self._orbit_reps = _orbit_partition_reps(
-                self._elements_raw, self.centralizer._gens_raw, self._group._chain.base
-            )
+            self._orbit_reps = self.orbit_reps_under(self.centralizer)
         return self._orbit_reps
+
+    def orbit_reps_under(self, cent: Bsgs) -> _OrbitReps:
+        """The C-orbit representatives on the class for C = C_G(g), g a
+        member; a new stream, where `orbit_reps` is the class's own."""
+        return _OrbitReps(self._table, self._members, cent)
 
     @property
     def elements(self) -> list[Permutation]:
@@ -601,17 +738,23 @@ class ConjugacyClass:
 
     @property
     def class_size(self) -> int:
-        return len(self._elements_raw)
+        return len(self._members)
 
     def conjugator(self, h: Permutation) -> Permutation:
         """Some x with x * rep * x^-1 = h; h must be a class member."""
-        els = self._elements_raw
-        i = bisect_left(els, h._img)
-        if i == len(els) or els[i] != h._img:
+        table = self._table
+        j = None
+        if h.degree == self.degree:
+            j = table.pos.get(_base_image(h._img, table.group._chain.base))
+        if (
+            j is None
+            or table.elements[j] != h._img
+            or table.cid[j] != table.cid[self._root]
+        ):
             raise MembershipError(f"{h!r} is not in this conjugacy class")
-        k = _base_image(h._img, self._group._chain.base)
-        u = _tree_conjugator(self._tree, self._group._gens_raw, k, dict([self._root]))
-        return Permutation._from_raw(u)
+        return Permutation._from_raw(
+            table.conjugator(j, {self._root: self._root_conj})
+        )
 
     def __repr__(self) -> str:
         return (
@@ -624,50 +767,33 @@ def conjugacy_classes(
     group: Bsgs, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[ConjugacyClass]:
     """All conjugacy classes by full element enumeration, ordered by their
-    (lexicographically minimal) representatives.  The orbit walks take each
-    conjugate from the enumeration by its base image instead of building it."""
+    (lexicographically minimal) representatives.  The enumeration is
+    numbered once (see _Numbering) and the classes are its orbit walks,
+    each started at its smallest member, which no earlier walk reached."""
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}; "
             "every command enumerates the conjugacy classes first, so raise "
             "--element-cap"
         )
-    base = group._chain.base
-    # base image -> element, in sorted element order
-    lookup = {_base_image(e, base): e for e in sorted(_enumerate_raw(group))}
-    assigned: set[tuple] = set()
-    classes = []
-    for k, e in lookup.items():
-        if k in assigned:
-            continue
-        cls = _class_of_raw(group, e, lookup)
-        assigned.update(cls._tree)
-        classes.append(cls)
+    table = _Numbering(group, sorted(_enumerate_raw(group)))
+    cid = table.cid
+    classes = [
+        ConjugacyClass(table, table.walk(j), j)
+        for j in range(len(cid)) if cid[j] < 0
+    ]
     assert sum(c.class_size for c in classes) == group.order
     return classes
 
 
 def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
-    """The conjugacy class of one member, without full group enumeration."""
+    """The conjugacy class of one member, without full group enumeration:
+    its conjugation orbit, numbered alone and walked from g."""
     if not group.contains(g):
         raise MembershipError(f"{g!r} is not a member of the group")
-    return _class_of_raw(group, g._img)
-
-
-def _class_of_raw(
-    group: Bsgs, g: tuple, lookup: Optional[dict] = None
-) -> ConjugacyClass:
-    members, tree = _conjugation_orbit(group, g, lookup)
-    elements = sorted(members.values())
-    root = (_base_image(g, group._chain.base), _identity(group.degree))
-    rep = elements[0]
-    if rep != g:
-        # re-root at the canonical representative: the root's conjugator
-        # becomes to_g, which maps rep back to g (to_g rep to_g^-1 = g)
-        k = _base_image(rep, group._chain.base)
-        to_g = _inv(_tree_conjugator(tree, group._gens_raw, k, dict([root])))
-        root = (root[0], to_g)
-    return ConjugacyClass(group, elements, tree, root)
+    table = _Numbering(group, sorted(_conjugation_orbit(group, g._img)))
+    root = table.pos[_base_image(g._img, group._chain.base)]
+    return ConjugacyClass(table, table.walk(root), root)
 
 
 def random_element(group: Bsgs, rng) -> Permutation:
@@ -737,6 +863,11 @@ def _enumerate_raw(group: Bsgs) -> list[tuple]:
     entries."""
     chain = group._chain
     products = [_identity(group.degree)]
+    if group.degree == 1:
+        return products  # itemgetter of one index returns a bare int
     for t, pts in zip(reversed(chain.transversals), reversed(chain.points)):
-        products = [_mul(t[pt], p) for pt in pts for p in products]
+        # u p is itemgetter(*p)(u): one getter per lower product, in C
+        us = [t[pt] for pt in pts]
+        getters = [itemgetter(*p) for p in products]
+        products = [get(u) for u in us for get in getters]
     return products

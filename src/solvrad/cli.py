@@ -15,7 +15,9 @@ goes to stderr only.  Report content is independent of --threads; identical
 (command, spec, seed) runs are byte-identical except for timing fields.
 
 Suite entries with one spec and element cap share one GroupContext: its group,
-classes, centralizers, orbit representatives and oracles are computed once.
+classes, centralizers and oracles are computed once.  Each class's orbit
+representatives are one growing prefix, produced as far as a scan reads and
+shared by every entry that scans the class.
 """
 
 from __future__ import annotations

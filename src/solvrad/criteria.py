@@ -34,7 +34,6 @@ space they report exceeds their tuple budget.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -48,7 +47,7 @@ from .bsgs import (
     ConjugacyClass,
     GeneratorSet,
     MembershipError,
-    _orbit_partition_reps,
+    _OrbitReps,
     centralizer,
     class_of,
     conjugacy_classes,
@@ -172,10 +171,8 @@ def reduced_conjugate_orbit(
     The orbits partition the class; testing <x, h> for one h per orbit is
     equivalent to testing it for every h in the class.
     """
-    reps = _orbit_partition_reps(
-        class_of_x._elements_raw, cent._gens_raw, group._chain.base
-    )
-    return [Permutation._from_raw(r) for r in reps]
+    els = class_of_x._table.elements
+    return [Permutation._from_raw(els[j]) for j in class_of_x.orbit_reps_under(cent)]
 
 
 def _conjugator_to(
@@ -185,13 +182,19 @@ def _conjugator_to(
     return cls.conjugator(h) * cls.conjugator(g).inverse()
 
 
-def _scan_reps(group: Bsgs, g: Permutation, cls: ConjugacyClass) -> list[tuple]:
-    """The ascending C_G(g)-orbit representatives on `cls`, the class of g:
-    the class's own when g is its representative, else from C_G(g)."""
-    if g._img == cls._elements_raw[0]:
+def _scan_reps(group: Bsgs, g: Permutation, cls: ConjugacyClass) -> _OrbitReps:
+    """The ascending C_G(g)-orbit representatives on `cls`, the class of g,
+    as a lazy stream with a count: the class's own when g is its
+    representative, else a new one under C_G(g)."""
+    if g == cls.representative:
         return cls.orbit_reps
-    cz = centralizer(group, g, cls)
-    return _orbit_partition_reps(cls._elements_raw, cz._gens_raw, group._chain.base)
+    return cls.orbit_reps_under(centralizer(group, g, cls))
+
+
+def _singles(table, reps):
+    """The 1-tuples (element,) of the numbered `reps`, read lazily."""
+    els = table.elements
+    return ((els[j],) for j in reps)
 
 
 def _witness_for(sub: Bsgs, conjugators, solvable: bool = False) -> Witness:
@@ -312,11 +315,9 @@ def _class_scan(
     """Exhaustive verdict on every <g, xgx^-1> being solvable (or
     nilpotent), over the C_G(g)-orbit representatives of the class of g."""
     reps = _scan_reps(group, g, cls)
-    _check_budget(len(reps), budget, "orbit representatives")
+    _check_budget(reps.count, budget, "orbit representatives")
     predicate = is_nilpotent if nilpotent else is_solvable
-    failure = _first_failure(
-        group, g._img, ((h,) for h in reps), predicate
-    )
+    failure = _first_failure(group, g._img, _singles(cls._table, reps), predicate)
     witness = None
     if failure is not None:
         _, (h,), sub = failure
@@ -328,7 +329,7 @@ def _class_scan(
         in_radical_claimed=witness is None,
         witness=witness,
         search_mode=EXHAUSTIVE,
-        tuples_checked=len(reps),
+        tuples_checked=reps.count,
     )
 
 
@@ -498,7 +499,7 @@ def four_conjugate_element_test(
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     raw = cls._elements_raw
     h1_reps = _scan_reps(group, g, cls)
-    total = len(h1_reps) * len(raw) * len(raw)
+    total = h1_reps.count * len(raw) * len(raw)
     _check_budget(total, tuple_budget, "reduced triples")
     g_raw = g._img
     first = raw[0]
@@ -532,7 +533,7 @@ def four_conjugate_element_test(
             live.append(k)
         return None
 
-    for h1 in h1_reps:
+    for h1 in map(cls._table.elements.__getitem__, h1_reps):
         m1 = cover.bit(h1)
         live1 = [k for k in range(len(cover.groups)) if cover.contains(k, h1, m1)]
         if not live1 and not cover.cyclic(m1):
@@ -599,9 +600,9 @@ def class_pair_solvability(
     for cls in classes:
         rep = cls.representative
         reps = cls.orbit_reps
-        _check_budget(checked + len(reps), budget, "class pairs")
+        _check_budget(checked + reps.count, budget, "class pairs")
         failure = _first_failure(
-            group, rep._img, ((h,) for h in reps), is_solvable
+            group, rep._img, _singles(cls._table, reps), is_solvable
         )
         if failure is not None:
             i, (h,), sub = failure
@@ -612,7 +613,7 @@ def class_pair_solvability(
                 witness=_witness_for(sub, [x]),
                 pairs_checked=checked + i + 1,
             )
-        checked += len(reps)
+        checked += reps.count
     return ClassPairVerdict(
         all_classes_pass=True,
         witness_element=None,
@@ -639,31 +640,29 @@ def thompson_test(
         )
     if classes is None:
         classes = conjugacy_classes(group, element_cap)
-    elements = sorted(
-        e for cls in classes for e in cls._elements_raw
-    )
+    # the classes share one numbering of the whole group, in sorted order
+    table = classes[0]._table
+    everything = range(group.order)
     checked = 0
     for cls in classes:
         rep = cls.representative
         if rep.is_identity():
             # every <1, y> = <y> is cyclic: pass the class without walking
             # the orbits of C_G(1) = G on the elements, the classes again
-            checked += len(elements)
+            checked += group.order
             continue
-        cz = cls.centralizer
-        ys = _orbit_partition_reps(elements, cz._gens_raw, group._chain.base)
-        failure = _first_failure(
-            group, rep._img, ((y,) for y in ys), is_solvable
-        )
+        ys = _OrbitReps(table, everything, cls.centralizer)
+        failure = _first_failure(group, rep._img, _singles(table, ys), is_solvable)
         if failure is not None:
-            _, (y,), sub = failure
+            i, (y,), sub = failure
+            # y's number is its position in the sorted element list
             return ThompsonVerdict(
                 all_pairs_solvable=False,
                 witness_pair=(rep, Permutation._from_raw(y)),
                 generated_order=sub.order,
-                pairs_checked=checked + bisect_left(elements, y) + 1,
+                pairs_checked=checked + ys.found[i] + 1,
             )
-        checked += len(elements)
+        checked += group.order
     return ThompsonVerdict(
         all_pairs_solvable=True,
         witness_pair=None,

@@ -1,14 +1,17 @@
-"""Differential safety net for conjugation orbits walked by base image.
+"""Differential safety net for conjugation orbits walked on numbered elements.
 
-`solvrad.bsgs` identifies each conjugate by its base image, takes it from the
-enumerated group (or builds it only when its key is new), and keeps a Schreier
-tree per class instead of a conjugator per member.  The reference below is
-the full-tuple orbit walk: every conjugate built as s y s^-1, an eager
-transversal with one conjugator per member, re-rooted at the representative
-when the walk started elsewhere.  Classes, representatives, conjugators,
-centralizer generators and centralizer-orbit representatives must agree
-exactly, not just up to group equality, and so must the centralizer and
-orbit representatives that each class keeps.
+`solvrad.bsgs` numbers the sorted group (or one class) once, walks the classes
+on the numbers, and keeps a parent and a generator per element instead of a
+conjugator per member; centralizer-orbit representatives come from a lazy
+stream counted by Burnside's lemma.  The reference below is the full-tuple
+orbit walk: every conjugate built as s y s^-1, an eager transversal with one
+conjugator per member, re-rooted at the representative when the walk started
+elsewhere.  Classes, representatives, conjugators, centralizer generators and
+centralizer-orbit representatives must agree exactly, not just up to group
+equality, and so must the centralizer and orbit representatives that each
+class keeps.  Every prefix a stream produces is the reference's prefix of
+that length, and its count, taken before any representative is read, is the
+length of the completed walk.
 """
 
 import pytest
@@ -19,15 +22,14 @@ from solvrad.bsgs import (
     GeneratorSet,
     MembershipError,
     _Chain,
-    _base_image,
-    _tree_conjugator,
+    _OrbitReps,
     build_bsgs,
     centralizer,
     class_of,
     conjugacy_classes,
     enumerate_elements,
 )
-from solvrad.criteria import _orbit_partition_reps, reduced_conjugate_orbit
+from solvrad.criteria import reduced_conjugate_orbit
 from solvrad.perm import Permutation, _identity, _inv, _mul
 
 SPECS = ["S(4)", "S(5)", "A(5)", "D(6)", "PSL2(7)", "direct(C(5),A(5))"]
@@ -122,18 +124,38 @@ def ref_orbit_partition_reps(elements_sorted, cent_gens):
 def assert_class_matches(group, cls, elements, transversal, stride=1):
     """Members, representative and every member's conjugator; the public
     conjugator() is asked for every `stride`-th member, the rest are read
-    from the class's tree with one shared cache."""
+    from the class's walk arrays with one shared cache."""
     assert cls._elements_raw == elements
     assert cls.representative._img == elements[0]
-    known = dict([cls._root])
-    base = group._chain.base
-    for i, h in enumerate(elements):
+    known = {cls._root: cls._root_conj}
+    for i, (j, h) in enumerate(zip(cls._members, elements)):
         if i % stride == 0:
             u = cls.conjugator(Permutation._from_raw(h))._img
         else:
-            k = _base_image(h, base)
-            u = _tree_conjugator(cls._tree, group._gens_raw, k, known)
+            u = cls._table.conjugator(j, known)
         assert u == transversal[h]
+
+
+def assert_stream_matches(reps, ref, burnside):
+    """A fresh orbit-representative stream against the reference list: its
+    count, taken first, comes from Burnside's lemma exactly when `burnside`
+    (and the walk has not started), and equals the completed walk's length;
+    each representative read extends the prefix by one, and the prefix read
+    so far is the reference's prefix of that length."""
+    els = reps._table.elements
+    count = reps.count
+    assert (reps.found == []) == burnside
+    if not burnside:
+        assert [els[j] for j in reps.found] == ref
+    for k, j in enumerate(reps, 1):
+        if burnside:
+            assert len(reps.found) == k
+        assert els[j] == ref[k - 1]
+    assert len(reps.found) == count == len(ref)
+
+
+def burnside_applies(cls, cent):
+    return cls._table.whole() and cent.order < cls.class_size
 
 
 def assert_centralizers_match(
@@ -149,24 +171,24 @@ def assert_centralizers_match(
     )
     # the class's own centralizer and orbit representatives, built once
     assert cls.centralizer._gens_raw == cz._gens_raw
-    assert cls.orbit_reps == ref_orbit_partition_reps(elements, cz._gens_raw)
+    ref = ref_orbit_partition_reps(elements, cz._gens_raw)
+    table = cls._table
+    assert [table.elements[j] for j in cls.orbit_reps] == ref
+    assert cls.orbit_reps.count == len(ref)
     assert cls.centralizer is cls.centralizer
     assert cls.orbit_reps is cls.orbit_reps
     if walk:
         assert centralizer(group, rep)._gens_raw == ref_centralizer_gens(
             group, rep._img
         )
-    base = group._chain.base
-    assert _orbit_partition_reps(
-        elements, cz._gens_raw, base
-    ) == ref_orbit_partition_reps(elements, cz._gens_raw)
-    assert [p._img for p in reduced_conjugate_orbit(group, rep, cls, cz)] == (
-        ref_orbit_partition_reps(elements, cz._gens_raw)
-    )
+    assert_stream_matches(cls.orbit_reps_under(cz), ref, burnside_applies(cls, cz))
+    assert [p._img for p in reduced_conjugate_orbit(group, rep, cls, cz)] == ref
     if whole is not None:
-        assert _orbit_partition_reps(
-            whole, cz._gens_raw, base
-        ) == ref_orbit_partition_reps(whole, cz._gens_raw)
+        # Thompson's domain: every element, numbered by the class table
+        everything = _OrbitReps(table, range(len(whole)), cz)
+        assert_stream_matches(
+            everything, ref_orbit_partition_reps(whole, cz._gens_raw), False
+        )
 
 
 def check_group(group, classes, thorough=True):
@@ -187,7 +209,7 @@ def check_group(group, classes, thorough=True):
 
 def check_class_of_non_representatives(group, classes):
     """class_of from members other than the representative re-roots its
-    tree, and centralizers walked from such a member agree too."""
+    walk, and centralizers walked from such a member agree too."""
     for cls in classes:
         members = cls._elements_raw
         for h in sorted({members[-1], members[len(members) // 2]} - {members[0]}):
@@ -203,6 +225,24 @@ def check_class_of_non_representatives(group, classes):
             )
 
 
+def check_streams(group, classes):
+    """For the representative, a middle and the last member g of every
+    class, the C_G(g)-orbit representatives on the class, from the
+    whole-group numbering (counted by Burnside's lemma where it applies) and
+    from class_of's numbering of the class alone (counted by the walk)."""
+    for cls in classes:
+        members = cls._elements_raw
+        for h in sorted({members[0], members[len(members) // 2], members[-1]}):
+            p = Permutation._from_raw(h)
+            cz = centralizer(group, p, cls)
+            ref = ref_orbit_partition_reps(members, cz._gens_raw)
+            assert_stream_matches(
+                cls.orbit_reps_under(cz), ref, burnside_applies(cls, cz)
+            )
+            own = class_of(group, p)
+            assert_stream_matches(own.orbit_reps_under(cz), ref, False)
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_named_groups_match_reference(spec, group_of, classes_of):
     check_group(group_of(spec), classes_of(spec))
@@ -216,6 +256,30 @@ def test_class_of_from_non_representative(spec, group_of, classes_of):
 def test_sz8_matches_reference(sz8, sz8_classes):
     # the fresh walks and the whole-group domain are left to the smaller groups
     check_group(sz8, sz8_classes, thorough=False)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_streams_of_named_groups(spec, group_of, classes_of):
+    check_streams(group_of(spec), classes_of(spec))
+
+
+def test_streams_of_sz8(sz8, sz8_classes):
+    check_streams(sz8, sz8_classes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(1, n + 1))).map(Permutation),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_streams_of_random_groups(gens):
+    group = build_bsgs(GeneratorSet(gens[0].degree, gens))
+    check_streams(group, conjugacy_classes(group))
 
 
 def test_conjugator_rejects_non_members(group_of, classes_of):

@@ -42,6 +42,7 @@ from solvrad.criteria import (
     nonsolvable_witness_search,
     thompson_test,
     transposition_triple_sharpness,
+    two_conjugate_radical,
     two_conjugate_test,
 )
 from solvrad.perm import Permutation, _inv, _mul, is_prime
@@ -327,6 +328,24 @@ def test_thompson_pairs_checked_pinned(spec, pairs_checked, generated_order, gro
     v = thompson_test(group_of(spec), 10_000)
     assert not v.all_pairs_solvable
     assert (v.pairs_checked, v.generated_order) == (pairs_checked, generated_order)
+
+
+def test_two_conjugate_scan_reads_only_its_prefix_on_sz8(sz8):
+    """Each tested class of Sz(8) fails at its 21st (order 7) or 2nd (orders
+    5 and 13) orbit representative.  The scan produces no representative
+    past that, while `tuples_checked` still counts every one, by Burnside's
+    lemma."""
+    classes = conjugacy_classes(sz8, 50_000)
+    result = two_conjugate_radical(sz8, classes)
+    by_rep = {cls.representative: cls for cls in classes}
+    want = {5: (2, 1168), 7: (21, 596), 13: (2, 176)}
+    orders = sorted(v.element.order() for v in result.verdicts)
+    assert orders == [5, 7, 7, 7, 13, 13, 13]
+    for v in result.verdicts:
+        produced, checked = want[v.element.order()]
+        assert not v.in_radical_claimed
+        assert v.tuples_checked == checked
+        assert len(by_rep[v.element].orbit_reps.found) <= produced
 
 
 def reference_sharpness(n):
