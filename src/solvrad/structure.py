@@ -6,6 +6,12 @@ Membership in the solvable radical is equivalent to solvability of one's
 normal closure (and likewise, nilpotent radical / nilpotent closure), and
 that membership is a class function, so the oracles iterate over conjugacy
 class representatives and take the normal closure of the qualifying ones.
+
+The predicates settle what the group order settles before computing a
+series (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
+Burnside's p^a q^b theorem a group whose order has at most two prime
+divisors is solvable, and a group of prime-power order is nilpotent.  The
+series functions always compute every term.
 """
 
 from __future__ import annotations
@@ -67,8 +73,38 @@ def derived_series(h: Bsgs) -> SeriesResult:
             return SeriesResult(terms, terminated=False, stabilized=True)
 
 
+def _prime_divisors(h: Bsgs) -> set[int]:
+    """The primes dividing |H|, read from its basic orbit lengths: their
+    product is |H| and each is at most the degree, so trial division is
+    short."""
+    primes = set()
+    for t in h._chain.transversals:
+        n, p = len(t), 2
+        while p * p <= n:
+            if n % p == 0:
+                primes.add(p)
+                while n % p == 0:
+                    n //= p
+            p += 1
+        if n > 1:
+            primes.add(n)
+    return primes
+
+
 def is_solvable(h: Bsgs) -> bool:
-    return h.order == 1 or derived_series(h).terminated
+    """Whether H is solvable.
+
+    H is solvable iff [H, H] is, so walk the derived series only until a
+    term's order has at most two prime divisors, which is solvable by
+    Burnside's p^a q^b theorem, or a nontrivial term is perfect, which is
+    not.  `derived_series` still computes every term for reports.
+    """
+    while len(_prime_divisors(h)) > 2:
+        d = derived_subgroup(h)
+        if d.order == h.order:
+            return False
+        h = d
+    return True
 
 
 def lower_central_series(h: Bsgs) -> SeriesResult:
@@ -93,7 +129,11 @@ def lower_central_series(h: Bsgs) -> SeriesResult:
 
 
 def is_nilpotent(h: Bsgs) -> bool:
-    return h.order == 1 or lower_central_series(h).terminated
+    """Whether H is nilpotent: a group of prime-power order is, and
+    otherwise its lower central series must reach 1.  The order test is
+    made on H alone, never on a lower-central term: S(3)'s gamma_2 is C(3),
+    yet S(3) is not nilpotent."""
+    return len(_prime_divisors(h)) <= 1 or lower_central_series(h).terminated
 
 
 def solvable_radical_oracle(

@@ -11,7 +11,7 @@ from itertools import combinations
 
 def mult(p, q):
     """Apply q first, then p."""
-    return tuple(p[v - 1] for v in q)
+    return tuple([p[v - 1] for v in q])
 
 
 def invert(p):
@@ -121,3 +121,135 @@ def max_normal_with(els, degree, predicate):
         if predicate(set(n), degree) and (best is None or len(n) > len(best)):
             best = n
     return set(best)
+
+
+# Series and radicals of groups up to degree ~7 (order up to 5,040), where
+# all-pairs commutators are too many.  A subgroup is carried as its element
+# set plus a generating set; every step is a multiplication closure.
+
+
+def adjoin(els, gens, x):
+    """Extend the subgroup `els`, generated by `gens`, by x in place, coset
+    by coset (Dimino): the union of the cosets tK of K = els found by left
+    multiplication with the generators is closed under it, so it is the
+    new span."""
+    gens.append(x)
+    k = list(els)
+    reps = [tuple(range(1, len(x) + 1))]
+    for r in reps:
+        for s in gens:
+            t = mult(s, r)
+            if t not in els:
+                els.update([mult(t, y) for y in k])
+                reps.append(t)
+
+
+def span_with_gens(seeds, degree):
+    """(elements, gens) of the subgroup generated by `seeds`, keeping as
+    generators only the seeds the span so far misses."""
+    els, gens = {tuple(range(1, degree + 1))}, []
+    for x in seeds:
+        if x not in els:
+            adjoin(els, gens, x)
+    return els, gens
+
+
+def normal_closure_with_gens(seeds, ambient_gens, degree):
+    """(elements, gens) of the normal closure of `seeds` in the group that
+    `ambient_gens` generate: a subgroup is normal once every conjugate of
+    each of its generators by each ambient generator lies in it."""
+    els, gens = span_with_gens(seeds, degree)
+    i = 0
+    while i < len(gens):
+        for s in ambient_gens:
+            c = conj(s, gens[i])
+            if c not in els:
+                adjoin(els, gens, c)
+        i += 1
+    return els, gens
+
+
+def commutators_with(els, gens):
+    """[x, s] = x s x^-1 s^-1 for x in els (ascending) and s in gens."""
+    pairs = [(s, invert(s)) for s in gens]
+    for x in sorted(els):
+        x_inv = invert(x)
+        for s, s_inv in pairs:
+            yield mult(mult(x, s), mult(x_inv, s_inv))
+
+
+def derived_orders(gens, degree):
+    """Orders of H >= [H,H] >= ... down to 1 or to the first repeated
+    order, as `structure.derived_series` stops.  [H,H] is generated by the
+    [x, s] with x in H and s in a generating set S of H: conjugating
+    [x, s] by y gives [yx, s][y, s]^-1, so that subgroup is normal, and
+    modulo it every s is central, so the quotient is abelian."""
+    els, gens = span_with_gens(gens, degree)
+    orders = [len(els)]
+    while True:
+        els, gens = span_with_gens(commutators_with(els, gens), degree)
+        orders.append(len(els))
+        if len(els) in (1, orders[-2]):
+            return orders
+
+
+def lower_central_orders(gens, degree):
+    """Orders of gamma_1 = H >= gamma_2 >= ... down to 1 or to the first
+    repeated order.  gamma_{i+1} = [gamma_i, H] is the normal closure in H
+    of the [x, s] with x in gamma_i and s in a generating set S of H:
+    modulo that closure every s centralizes gamma_i, so H does."""
+    whole, h_gens = span_with_gens(gens, degree)
+    els = whole
+    orders = [len(els)]
+    while True:
+        els, _ = normal_closure_with_gens(
+            commutators_with(els, h_gens), h_gens, degree
+        )
+        orders.append(len(els))
+        if len(els) in (1, orders[-2]):
+            return orders
+
+
+def radical_set(gens, degree, terminates):
+    """The largest normal subgroup whose series `terminates(gens, degree)`
+    reaches 1: the union of the classes whose normal closure (the span of
+    the class) qualifies, since a normal subgroup with the property holds
+    the closure of each of its elements.  Classes are conjugation orbits
+    under the generators."""
+    els, gens = span_with_gens(gens, degree)
+    remaining = set(els)
+    members = []
+    verdicts = {}  # normal closure -> verdict, for closures met again
+    while remaining:
+        orbit = {min(remaining)}
+        frontier = list(orbit)
+        while frontier:
+            frontier = [
+                c for c in {conj(s, x) for x in frontier for s in gens}
+                if c not in orbit
+            ]
+            orbit.update(frontier)
+        remaining -= orbit
+        closure_els, closure_gens = span_with_gens(sorted(orbit), degree)
+        if len(closure_els) == len(els):
+            closure_gens = gens
+        key = frozenset(closure_els)
+        if key not in verdicts:
+            verdicts[key] = terminates(closure_gens, degree)
+        if verdicts[key]:
+            members.extend(orbit)
+    return set(members)
+
+
+def prime_divisors(n):
+    return {
+        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
+    }
+
+
+def solvable_by_orders(gens, degree):
+    return derived_orders(gens, degree)[-1] == 1
+
+
+def nilpotent_by_orders(gens, degree):
+    return lower_central_orders(gens, degree)[-1] == 1

@@ -106,14 +106,21 @@ class TestSolvableNilpotent:
         assert is_nilpotent(g) == bf.is_nilpotent_set(els, g.degree)
 
     def test_burnside_direction(self, group_of):
-        # order of the form p^a q^b forces solvability
+        # order of the form p^a q^b forces solvability; is_solvable reads
+        # that from the order, so the derived series checks the engine
         for spec in ("S(3)", "S(4)", "A(4)", "C(12)", "D(4)", "D(6)",
                      "direct(C(4),S(3))"):
             g = group_of(spec)
-            primes = {p for p in range(2, g.order + 1)
-                      if g.order % p == 0 and all(p % d for d in range(2, p))}
-            assert len(primes) <= 2
+            assert len(bf.prime_divisors(g.order)) <= 2
             assert is_solvable(g)
+            assert derived_series(g).terminated
+        # three prime divisors: the order settles nothing, so is_solvable
+        # computes, and finds the perfect A5
+        for spec in ("A(5)", "S(5)"):
+            g = group_of(spec)
+            assert len(bf.prime_divisors(g.order)) == 3
+            assert not is_solvable(g)
+            assert derived_series(g).stabilized
 
     def test_lower_central_stabilizes_for_s3(self, group_of):
         s = lower_central_series(group_of("S(3)"))
