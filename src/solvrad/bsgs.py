@@ -49,11 +49,18 @@ class GeneratorSet:
     """A degree plus a list of generating permutations.
 
     Identity entries are dropped; the empty list generates the trivial group.
+    `order` is the order of the generated group when the constructor knows
+    it without a build (the named families of `zoo`), else None.
     """
 
-    __slots__ = ("degree", "generators")
+    __slots__ = ("degree", "generators", "order")
 
-    def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
+    def __init__(
+        self,
+        degree: int,
+        generators: Iterable[Permutation] = (),
+        order: Optional[int] = None,
+    ):
         if degree < 1:
             raise ValueError("degree must be a positive integer")
         gens = []
@@ -66,6 +73,7 @@ class GeneratorSet:
                 gens.append(g)
         self.degree = degree
         self.generators = gens
+        self.order = order
 
     def __repr__(self) -> str:
         return f"GeneratorSet(degree={self.degree}, n_gens={len(self.generators)})"
@@ -74,11 +82,13 @@ class GeneratorSet:
 class _Chain:
     """Mutable stabilizer chain over raw 0-based image tuples.
 
-    levels[i] generates the stabilizer of base[:i]; transversals[i] maps each
-    point of the i-th basic orbit to a coset representative u with
-    u[base[i]] = point, inverses[i] maps the same point to u^-1, and
-    points[i] lists the orbit's points in ascending order.  Sifting strips
-    with the stored inverses, so it never inverts a permutation.
+    levels[i] generates the stabilizer of base[:i], and level_inverses[i]
+    holds their inverses, each made once, when its generator joins the
+    chain; transversals[i] maps each point of the i-th basic orbit to a
+    coset representative u with u[base[i]] = point, inverses[i] maps the
+    same point to u^-1, and points[i] lists the orbit's points in ascending
+    order.  Sifting strips with the stored inverses, so it never inverts a
+    permutation.
 
     `bound`, when given, is a proven upper bound on the order of the group
     the chain generates, such as the order of a group that contains every
@@ -92,8 +102,8 @@ class _Chain:
     """
 
     __slots__ = (
-        "degree", "base", "levels", "transversals", "inverses", "points",
-        "bound", "_ident",
+        "degree", "base", "levels", "level_inverses", "transversals",
+        "inverses", "points", "bound", "_ident",
     )
 
     def __init__(
@@ -103,6 +113,7 @@ class _Chain:
         self.bound = bound
         self.base: list[int] = []
         self.levels: list[list[tuple]] = []
+        self.level_inverses: list[list[tuple]] = []
         self.transversals: list[dict[int, tuple]] = []
         self.inverses: list[dict[int, tuple]] = []
         self.points: list[list[int]] = []
@@ -156,7 +167,7 @@ class _Chain:
     def _recompute_orbit(self, i: int) -> None:
         b = self.base[i]
         gens = self.levels[i]
-        gens_inv = [_inv(s) for s in gens]
+        gens_inv = self.level_inverses[i]
         T = {b: self._ident}
         Tinv = {b: self._ident}
         frontier = [b]
@@ -179,9 +190,17 @@ class _Chain:
         bp = next(i for i, v in enumerate(g) if i != v)
         self.base.append(bp)
         self.levels.append([])
+        self.level_inverses.append([])
         self.transversals.append({bp: self._ident})
         self.inverses.append({bp: self._ident})
         self.points.append([bp])
+
+    def _add_generator(self, g: tuple, first: int, last: int) -> None:
+        """Add g, and its inverse, to the levels first..last."""
+        g_inv = _inv(g)
+        for l in range(first, last + 1):
+            self.levels[l].append(g)
+            self.level_inverses[l].append(g_inv)
 
     def extend(self, new_gens: Iterable[tuple]) -> None:
         """Add generators and restore the strong-generating property."""
@@ -196,8 +215,7 @@ class _Chain:
                 j += 1
             if j == len(self.base):
                 self._new_base_point(g)
-            for l in range(j + 1):
-                self.levels[l].append(g)
+            self._add_generator(g, 0, j)
             for l in range(j + 1):
                 self._recompute_orbit(l)
             changed = True
@@ -225,8 +243,8 @@ class _Chain:
                         continue
                     if j == len(self.base):
                         self._new_base_point(residue)
+                    self._add_generator(residue, i + 1, j)
                     for l in range(i + 1, j + 1):
-                        self.levels[l].append(residue)
                         self._recompute_orbit(l)
                     if self._at_bound():
                         return
@@ -583,8 +601,8 @@ class _Numbering:
 
 class _OrbitReps:
     """The smallest member of each orbit of a group C conjugating a set of
-    numbered members (a class, or the whole group), as ascending numbers,
-    produced lazily.
+    numbered members (a class, or a union of classes of the whole group),
+    as ascending numbers, produced lazily.
 
     Iterating yields the representatives found so far, then walks on only
     as far as the consumer reads: the next representative is the smallest
@@ -770,12 +788,7 @@ def conjugacy_classes(
     (lexicographically minimal) representatives.  The enumeration is
     numbered once (see _Numbering) and the classes are its orbit walks,
     each started at its smallest member, which no earlier walk reached."""
-    if group.order > element_cap:
-        raise CapExceededError(
-            f"group order {group.order} exceeds element cap {element_cap}; "
-            "every command enumerates the conjugacy classes first, so raise "
-            "--element-cap"
-        )
+    _check_element_cap(group.order, element_cap)
     table = _Numbering(group, sorted(_enumerate_raw(group)))
     cid = table.cid
     classes = [
@@ -784,6 +797,17 @@ def conjugacy_classes(
     ]
     assert sum(c.class_size for c in classes) == group.order
     return classes
+
+
+def _check_element_cap(order: int, element_cap: int) -> None:
+    """Refuse a group of `order` elements past the element cap, before its
+    classes are enumerated."""
+    if order > element_cap:
+        raise CapExceededError(
+            f"group order {order} exceeds element cap {element_cap}; "
+            "every command enumerates the conjugacy classes first, so raise "
+            "--element-cap"
+        )
 
 
 def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:

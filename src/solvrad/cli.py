@@ -34,6 +34,7 @@ from . import __version__
 from .bsgs import (
     CapExceededError,
     DEFAULT_ELEMENT_CAP,
+    _check_element_cap,
     build_bsgs,
     conjugacy_classes,
 )
@@ -141,12 +142,17 @@ def _require_positive(name: str, value: Optional[int]) -> None:
 
 class GroupContext:
     """The group of one (spec, element cap), its classes, and, on first use,
-    its radical oracles and derived series, each computed once."""
+    its radical oracles and derived series, each computed once.  A named
+    group whose order the spec gives is refused past the cap before it is
+    built."""
 
     def __init__(self, spec: str, element_cap: int):
         self.spec = spec
         self.element_cap = element_cap
-        self.group = build_bsgs(construct(spec))
+        gens = construct(spec)
+        if gens.order is not None:
+            _check_element_cap(gens.order, element_cap)
+        self.group = build_bsgs(gens)
         self.classes = conjugacy_classes(self.group, element_cap)
 
     @cached_property

@@ -17,14 +17,22 @@ lie in one cover group passes without a build of its own, and the cover
 remembers which conjugates each group contains, so no conjugate is sifted
 through one group twice.  A tuple of powers of g generates the cyclic <g>
 and passes without a build, and so does Thompson's identity class, whose
-pairs <1, y> = <y> are cyclic.  Every skipped
+pairs <1, y> = <y> are cyclic.  A tuple whose members commute with g and
+with each other generates an abelian group, which is solvable and
+nilpotent, so it passes without a build too.  Every skipped
 candidate really passes, so the first failure in canonical order, its
 witness and the logical counters are those of the unpruned scan.  A
 randomized search still makes every RNG draw, in the same order, so its
-samples, witnesses and counters are unchanged too.  The Thompson test uses
-the same lemma as the others: <r, y> and <r, cyc^-1> are conjugate for c in
-C_G(r), so its second element is reduced to C_G(r)-orbit representatives of
-the sorted element list, the smallest member of each orbit.
+samples, witnesses and counters are unchanged too.
+
+The Thompson test uses the same lemma as the others: <r, y> and
+<r, cyc^-1> are conjugate for c in C_G(r), so its second element is
+reduced to C_G(r)-orbit representatives, the smallest member of each
+orbit.  It also scans each unordered pair of classes once: for y in an
+earlier class than r, with x y x^-1 = r', <r, y> is conjugate to
+<r', x r x^-1>, a pair the earlier class's scan has already passed (a scan
+stops at its first failure).  So the class of r is scanned against its own
+class and the later ones only, in sorted order.
 
 Exhaustive mode may assert the universal claim; randomized mode can only
 falsify it.  Exhaustive scans raise BudgetExceededError when the logical
@@ -222,12 +230,20 @@ class _Cover:
 
     Tuples of powers of g need no group: they generate <g>, which is
     cyclic, so solvable and nilpotent.  And every group contains g, so it
-    contains the powers of g without a sift.
+    contains the powers of g without a sift.  Nor do tuples whose members
+    commute with g and with each other, which generate an abelian group; the
+    cover keeps the masks of those it has found, so a repeated one costs a
+    set lookup, not its products.
     """
 
-    __slots__ = ("groups", "tested", "inside", "bits", "powers", "_g_powers")
+    __slots__ = (
+        "groups", "tested", "inside", "bits", "powers", "_g_powers", "_g",
+        "_commuting",
+    )
 
     def __init__(self, g: tuple):
+        self._g = g
+        self._commuting: set[int] = set()  # masks of commuting tuples
         self.groups: list[Bsgs] = []
         self.tested: list[int] = []
         self.inside: list[int] = []
@@ -250,6 +266,16 @@ class _Cover:
     def cyclic(self, mask: int) -> bool:
         """Whether the conjugates of `mask` are all powers of g."""
         return not mask & ~self.powers
+
+    def abelian(self, hs: tuple, mask: int) -> bool:
+        """Whether g and the conjugates hs, whose bits make `mask`, commute
+        pairwise."""
+        if mask in self._commuting:
+            return True
+        if all(_mul(a, b) == _mul(b, a) for a, b in combinations((self._g, *hs), 2)):
+            self._commuting.add(mask)
+            return True
+        return False
 
     def contains(self, k: int, h: tuple, b: int) -> bool:
         """Whether group k contains the conjugate h, whose bit is b."""
@@ -289,14 +315,18 @@ def _first_failure(
     build.
 
     The predicate must pass to subgroups (solvable, nilpotent) and hold on
-    cyclic groups: a tuple of powers of g, or one inside an already built
-    passing subgroup, passes without a build of its own.
+    abelian groups: a tuple of powers of g, one inside an already built
+    passing subgroup, or one whose members commute with g and with each
+    other passes without a build of its own.  An abelian group is not added
+    to the cover: a tuple inside it commutes too, and passes the same test.
     """
     cover = _Cover(g_raw)
     for i, hs in enumerate(candidates):
         bs = [cover.bit(h) for h in hs]
         mask = reduce(or_, bs, 0)
         if cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
+            continue
+        if cover.abelian(hs, mask):
             continue
         sub = _span(group, [g_raw, *hs])
         if not predicate(sub):
@@ -629,29 +659,32 @@ def thompson_test(
 ) -> ThompsonVerdict:
     """Is every two-generated subgroup solvable?  Pairs are reduced up to
     simultaneous conjugacy by taking the first element to be a class
-    representative r; the second ranges over the whole group, scanned as
-    C_G(r)-orbit representatives.  `pairs_checked` counts the pairs of the
-    unreduced scan, (class rep, element) in sorted order, up to and
-    including a failing one.  `classes`, when given, must be the group's
-    conjugacy classes."""
+    representative r; the second ranges over r's class and the later ones,
+    whose pairs with the earlier classes' representatives have passed
+    already, scanned as C_G(r)-orbit representatives.  `pairs_checked`
+    counts the pairs of the unreduced scan, (class rep, element) over the
+    whole group in sorted order, up to and including a failing one.
+    `classes`, when given, must be the group's conjugacy classes."""
     if group.order > element_cap:
         raise CapExceededError(
             f"group order {group.order} exceeds element cap {element_cap}"
         )
     if classes is None:
         classes = conjugacy_classes(group, element_cap)
-    # the classes share one numbering of the whole group, in sorted order
+    # the classes share one numbering of the whole group, in sorted order,
+    # and classes[c] is the walk whose id is c
     table = classes[0]._table
-    everything = range(group.order)
+    later = range(group.order)  # the members of this class and the later ones
     checked = 0
-    for cls in classes:
+    for c, cls in enumerate(classes):
+        later = [j for j in later if table.cid[j] >= c]
         rep = cls.representative
         if rep.is_identity():
             # every <1, y> = <y> is cyclic: pass the class without walking
             # the orbits of C_G(1) = G on the elements, the classes again
             checked += group.order
             continue
-        ys = _OrbitReps(table, everything, cls.centralizer)
+        ys = _OrbitReps(table, later, cls.centralizer)
         failure = _first_failure(group, rep._img, _singles(table, ys), is_solvable)
         if failure is not None:
             i, (y,), sub = failure

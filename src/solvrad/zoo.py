@@ -6,6 +6,11 @@ PSL2(p) for prime 5 <= p <= 31, direct(spec, spec, ...) nested to depth 3,
 and file:<path> for a JSON generator file.  file: paths resolve against the
 working directory first and fall back to the data files shipped with the
 package (so file:sz8.json always works).
+
+The family constructors, and direct products of them, set the order of
+the generated group on the GeneratorSet they return, so a caller can
+refuse a group past its element cap before building it.  A file: spec
+leaves it None.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
@@ -89,7 +95,9 @@ def psl2_perm(p: int) -> GeneratorSet:
     t = PrimeFieldMatrix(p, ((1, 1), (0, 1)))
     s = PrimeFieldMatrix(p, ((0, -1), (1, 0)))
     return GeneratorSet(
-        p + 1, [t.projective_permutation(), s.projective_permutation()]
+        p + 1,
+        [t.projective_permutation(), s.projective_permutation()],
+        p * (p * p - 1) // 2,
     )
 
 
@@ -253,32 +261,32 @@ def _cycle(n: int, points: list[int]) -> Permutation:
 def symmetric(n: int) -> GeneratorSet:
     """S(n) = <(1,2), (1,2,...,n)>."""
     if n == 1:
-        return GeneratorSet(1, [])
+        return GeneratorSet(1, [], 1)
     gens = [_cycle(n, [1, 2]), _cycle(n, list(range(1, n + 1)))]
-    return GeneratorSet(n, gens)
+    return GeneratorSet(n, gens, factorial(n))
 
 
 def alternating(n: int) -> GeneratorSet:
     """A(n) = <(1,2,3), (3,4,...,n)> for odd n, with the long cycle
     multiplied by (1,2) for even n (keeping both generators even)."""
     if n <= 2:
-        return GeneratorSet(max(n, 1), [])
+        return GeneratorSet(max(n, 1), [], 1)
     if n == 3:
-        return GeneratorSet(3, [_cycle(3, [1, 2, 3])])
+        return GeneratorSet(3, [_cycle(3, [1, 2, 3])], 3)
     three = _cycle(n, [1, 2, 3])
     tail = list(range(3, n + 1))
     if n % 2 == 1:
         second = _cycle(n, tail)
     else:
         second = _cycle(n, [1, 2]) * _cycle(n, tail)
-    return GeneratorSet(n, [three, second])
+    return GeneratorSet(n, [three, second], factorial(n) // 2)
 
 
 def cyclic(n: int) -> GeneratorSet:
     """C(n) = <(1,2,...,n)>."""
     if n == 1:
-        return GeneratorSet(1, [])
-    return GeneratorSet(n, [_cycle(n, list(range(1, n + 1)))])
+        return GeneratorSet(1, [], 1)
+    return GeneratorSet(n, [_cycle(n, list(range(1, n + 1)))], n)
 
 
 def dihedral(n: int) -> GeneratorSet:
@@ -291,12 +299,13 @@ def dihedral(n: int) -> GeneratorSet:
         )
     rot = _cycle(n, list(range(1, n + 1)))
     refl = Permutation([1] + [n + 2 - j for j in range(2, n + 1)])
-    return GeneratorSet(n, [rot, refl])
+    return GeneratorSet(n, [rot, refl], 2 * n)
 
 
 def direct_product(factors: list[GeneratorSet]) -> GeneratorSet:
     """Disjoint-support juxtaposition: degree is the sum of the factor
-    degrees, and each factor generator acts on its own block of points."""
+    degrees, and each factor generator acts on its own block of points.
+    The order is the product of the factors' orders, when all are known."""
     degree = sum(f.degree for f in factors)
     gens = []
     offset = 0
@@ -307,4 +316,6 @@ def direct_product(factors: list[GeneratorSet]) -> GeneratorSet:
                 img[offset + i] = offset + v
             gens.append(Permutation(img))
         offset += f.degree
-    return GeneratorSet(degree, gens)
+    orders = [f.order for f in factors]
+    order = None if None in orders else prod(orders)
+    return GeneratorSet(degree, gens, order)

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from solvrad.cli import (
     main,
 )
 from solvrad.perm import parse_cycles
+from solvrad.zoo import construct
 from solvrad.structure import is_solvable
 
 BATTERY = Path(solvrad.__file__).parent / "data" / "default_battery.json"
@@ -65,6 +68,36 @@ class TestInfo:
 
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["info", "S(5)", "--element-cap", "10"]) == EXIT_BUDGET
+
+    def test_over_cap_named_group_is_refused_before_its_build(
+        self, capsys, monkeypatch
+    ):
+        # the spec gives S(60)'s order, so no Schreier-Sims runs: building
+        # S(60) takes about 8 s, and S(150) minutes
+        def no_build(gens):
+            pytest.fail("an over-cap named group was built")
+
+        monkeypatch.setattr(solvrad.cli, "build_bsgs", no_build)
+        t0 = time.perf_counter()
+        code, rep = run(capsys, "info", "S(60)")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == EXIT_BUDGET
+        assert rep["details"]["error"] == (
+            f"group order {math.factorial(60)} exceeds element cap 200000; "
+            "every command enumerates the conjugacy classes first, so raise "
+            "--element-cap"
+        )
+
+    @pytest.mark.parametrize("spec", ["S(6)", "direct(S(3),D(4),C(5))", "PSL2(11)"])
+    def test_refusal_before_the_build_gives_the_built_groups_message(
+        self, capsys, spec
+    ):
+        with pytest.raises(solvrad.bsgs.CapExceededError) as built:
+            solvrad.bsgs.conjugacy_classes(build_bsgs(construct(spec)), 100)
+        code, rep = run(capsys, "info", spec, "--element-cap", "100")
+        assert code == EXIT_BUDGET
+        assert rep["details"]["error"] == str(built.value)
+
 
     @pytest.mark.parametrize(
         "argv, cap",
@@ -419,8 +452,9 @@ class TestSuite:
         ]
         code, rep = self.suite(capsys, tmp_path, entries)
         assert code == EXIT_BUDGET
-        # one successful build shared by seven entries; the capped one fails
-        assert builds == [200_000, 10]
+        # one successful build shared by seven entries; the capped one is
+        # refused from the order its spec gives, before a build
+        assert builds == [200_000]
         # bs, two, pairs and thompson share each class's centralizer, and
         # both two entries share the solvable-radical oracle
         assert len(centralizers) == 7 and set(centralizers.values()) == {1}

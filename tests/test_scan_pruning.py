@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import solvrad.criteria
 from solvrad.bsgs import (
     Bsgs,
     GeneratorSet,
@@ -33,6 +34,7 @@ from solvrad.criteria import (
     RANDOMIZED,
     BudgetExceededError,
     SharpnessReport,
+    _first_failure,
     _random_search,
     _triple_shape,
     baer_suzuki_set,
@@ -45,10 +47,13 @@ from solvrad.criteria import (
     two_conjugate_radical,
     two_conjugate_test,
 )
-from solvrad.perm import Permutation, _inv, _mul, is_prime
+from solvrad.perm import Permutation, _inv, _mul, is_prime, parse_cycles
 from solvrad.structure import is_nilpotent, is_solvable
 
-SPECS = ["S(4)", "S(5)", "A(5)", "D(6)", "direct(C(5),A(5))", "PSL2(7)"]
+# D4 x S3 (15 classes) and S4 x C2 (10) are solvable, so Thompson's test
+# scans every class against its own and the later ones
+SPECS = ["S(4)", "S(5)", "A(5)", "D(6)", "direct(C(5),A(5))", "PSL2(7)",
+         "direct(D(4),S(3))", "direct(S(4),C(2))"]
 
 
 def _span(degree, raws):
@@ -298,19 +303,25 @@ def test_each_conjugate_is_sifted_once_per_cover_group(spec, mode, group_of,
     assert max(sifts.values()) == 1
 
 
+def _record_builds(monkeypatch):
+    """The generator sets of every Bsgs built from here on."""
+    builds = []
+    init = Bsgs.__init__
+
+    def counted(self, gens, bound=None):
+        builds.append(gens)
+        init(self, gens, bound)
+
+    monkeypatch.setattr(Bsgs, "__init__", counted)
+    return builds
+
+
 def test_tuples_of_powers_of_g_are_not_built(group_of, classes_of, monkeypatch):
     # the class of g = (1,2,3) in S(3) is {g, g^-1}, so every tuple of its
     # members generates the cyclic <g>
     group = group_of("S(3)")
     cls = next(c for c in classes_of("S(3)") if c.class_size == 2)
-    builds = []
-    init = Bsgs.__init__
-
-    def counted(self, gens):
-        builds.append(gens)
-        init(self, gens)
-
-    monkeypatch.setattr(Bsgs, "__init__", counted)
+    builds = _record_builds(monkeypatch)
     g = cls.representative
     assert four_conjugate_element_test(group, g, class_of_g=cls).in_radical_claimed
     assert four_conjugate_element_test(
@@ -318,6 +329,82 @@ def test_tuples_of_powers_of_g_are_not_built(group_of, classes_of, monkeypatch):
     ).in_radical_claimed
     assert class_pair_solvability(group, [cls]).all_classes_pass
     assert builds == []
+
+
+def test_commuting_tuples_are_not_built(group_of, classes_of, monkeypatch):
+    # C4 x C6 is abelian, so every tuple commutes.  In S(4) the class of
+    # (1,2)(3,4) is the three involutions of the Klein four-group, which
+    # commute without being powers of one another.
+    abelian = group_of("direct(C(4),C(6))")
+    abelian_classes = classes_of("direct(C(4),C(6))")
+    s4 = group_of("S(4)")
+    klein = next(
+        c for c in classes_of("S(4)")
+        if c.class_size == 3 and c.representative.order() == 2
+    )
+    builds = _record_builds(monkeypatch)
+    assert all(v.in_radical_claimed
+               for v in baer_suzuki_set(abelian, abelian_classes).verdicts)
+    assert class_pair_solvability(abelian, abelian_classes).all_classes_pass
+    tv = thompson_test(abelian, abelian.order, abelian_classes)
+    assert tv.all_pairs_solvable and tv.pairs_checked == 24 * 24
+    four = four_conjugate_radical(abelian, abelian_classes, RANDOMIZED, 20, rng_seed=1)
+    assert all(v.in_radical_claimed for v in four.verdicts)
+
+    g = klein.representative
+    assert baer_suzuki_set(s4, [klein]).verdicts[0].in_radical_claimed
+    assert class_pair_solvability(s4, [klein]).all_classes_pass
+    assert four_conjugate_element_test(
+        s4, g, RANDOMIZED, 20, class_of_g=klein
+    ).in_radical_claimed
+    assert builds == []
+
+
+def test_a_tuple_commuting_with_g_but_not_within_is_built(group_of):
+    # (1,2,3) and (3,4,5) commute with g = (6,7,8) but not with each other,
+    # and <g, (1,2,3), (3,4,5)> = C3 x A5 is not solvable
+    g, h1, h2 = (parse_cycles(c, 8)._img for c in ("(6,7,8)", "(1,2,3)", "(3,4,5)"))
+    i, hs, sub = _first_failure(group_of("S(8)"), g, [(h1, h2)], is_solvable)
+    assert (i, hs, sub.order) == (0, (h1, h2), 180)
+
+
+def test_a_commuting_tuple_is_multiplied_out_once(group_of, monkeypatch):
+    # (1,2)(3,4) and (1,3)(2,4) commute; a repeated tuple is not retested
+    g, h = (parse_cycles(c, 4)._img for c in ("(1,2)(3,4)", "(1,3)(2,4)"))
+    calls = Counter()
+    mul = solvrad.criteria._mul
+
+    def counted(a, b):
+        calls[a, b] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(solvrad.criteria, "_mul", counted)
+    assert _first_failure(group_of("S(4)"), g, [(h,)] * 5, is_solvable) is None
+    assert calls[g, h] == calls[h, g] == 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["direct(D(4),S(3))", "direct(S(4),C(2))", "S(5)", "PSL2(7)"]
+)
+def test_thompson_builds_no_pair_from_an_earlier_class(spec, group_of, classes_of,
+                                                       monkeypatch):
+    # <r, y> with y in an earlier class is conjugate to a pair that the
+    # earlier class's scan has passed
+    group, classes = group_of(spec), classes_of(spec)
+    class_index = {e: c for c, cls in enumerate(classes) for e in cls._elements_raw}
+    pairs = []
+    span = solvrad.criteria._span
+
+    def recorded(group, raws):
+        pairs.append(tuple(map(class_index.__getitem__, raws)))
+        return span(group, raws)
+
+    monkeypatch.setattr(solvrad.criteria, "_span", recorded)
+    tv = thompson_test(group, group.order, classes)
+    assert pairs and all(r <= y for r, y in pairs)
+    assert any(r == y for r, y in pairs)  # a class meets its own members
+    if tv.all_pairs_solvable:  # every class is scanned, not just the first
+        assert len({r for r, _ in pairs}) > 1
 
 
 @pytest.mark.parametrize(

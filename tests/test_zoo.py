@@ -26,7 +26,9 @@ class TestConstructors:
         ("D(3)", 6), ("D(4)", 8), ("D(6)", 12),
     ])
     def test_family_orders(self, spec, order):
-        assert build_bsgs(construct(spec)).order == order
+        gens = construct(spec)
+        assert build_bsgs(gens).order == order
+        assert gens.order == order  # known before the build
 
     def test_d6_acts_on_six_points(self):
         gens = construct("D(6)")
@@ -36,6 +38,18 @@ class TestConstructors:
         gens = construct("direct(C(5),A(5))")
         assert gens.degree == 10
         assert build_bsgs(gens).order == 300
+        assert gens.order == 300
+
+    def test_direct_product_order_is_unknown_with_a_file_factor(self, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": "S3", "degree": 3,
+            "generators": ["(1,2)", "(1,2,3)"],
+        }))
+        assert construct(f"file:{path}").order is None
+        assert construct(f"direct(file:{path},C(2))").order is None
+        nested = construct("direct(direct(S(3),C(2)),PSL2(5))")
+        assert nested.order == build_bsgs(nested).order == 720
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_alternating_inside_symmetric_index_two(self, n):
@@ -67,6 +81,7 @@ class TestPSL2:
         assert gens.degree == p + 1
         got = build_bsgs(gens).order
         assert got == order == p * (p - 1) * (p + 1) // 2
+        assert gens.order == order
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_perfect_with_trivial_radical(self, p):
