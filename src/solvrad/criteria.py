@@ -19,11 +19,15 @@ through one group twice.  A tuple of powers of g generates the cyclic <g>
 and passes without a build, and so does Thompson's identity class, whose
 pairs <1, y> = <y> are cyclic.  A tuple whose members commute with g and
 with each other generates an abelian group, which is solvable and
-nilpotent, so it passes without a build too.  Every skipped
-candidate really passes, so the first failure in canonical order, its
-witness and the logical counters are those of the unpruned scan.  A
-randomized search still makes every RNG draw, in the same order, so its
-samples, witnesses and counters are unchanged too.
+nilpotent, so it passes without a build too.  An exhaustive scan of
+several conjugates, such as the four-conjugate test's three, extends each
+orbit representative by one class member per level, in lexicographic
+order: each prefix gets the same checks as a whole tuple, and a failing
+prefix fails with every completion, so it is reported with its first.
+Every skipped candidate really passes, so the first failure in canonical
+order, its witness and the logical counters are those of the unpruned
+scan.  A randomized search still makes every RNG draw, in the same order,
+so its samples, witnesses and counters are unchanged too.
 
 The Thompson test uses the same lemma as the others: <r, y> and
 <r, cyc^-1> are conjugate for c in C_G(r), so its second element is
@@ -190,15 +194,6 @@ def _conjugator_to(
     return cls.conjugator(h) * cls.conjugator(g).inverse()
 
 
-def _scan_reps(group: Bsgs, g: Permutation, cls: ConjugacyClass) -> _OrbitReps:
-    """The ascending C_G(g)-orbit representatives on `cls`, the class of g,
-    as a lazy stream with a count: the class's own when g is its
-    representative, else a new one under C_G(g)."""
-    if g == cls.representative:
-        return cls.orbit_reps
-    return cls.orbit_reps_under(centralizer(group, g, cls))
-
-
 def _singles(table, reps):
     """The 1-tuples (element,) of the numbered `reps`, read lazily."""
     els = table.elements
@@ -305,33 +300,92 @@ class _Cover:
 
 
 def _first_failure(
-    group: Bsgs, g_raw: tuple, candidates, predicate
+    group: Bsgs, g_raw: tuple, candidates, predicate, *inner
 ) -> Optional[tuple[int, tuple, Bsgs]]:
     """The first tuple of conjugates (h1, ..., hk) of `candidates`, in their
-    order, whose <g, h1, ..., hk> fails the predicate, with its index and
+    order, each extended by one member of each `inner` sequence in turn,
+    whose <g, h1, ...> fails the predicate, with its candidate's index and
     the subgroup built for it; None if every one passes.  `candidates` may
     be any iterable, and is consumed no further than the failing tuple.
     g and the conjugates are members of `group`, whose order bounds each
     build.
 
     The predicate must pass to subgroups (solvable, nilpotent) and hold on
-    abelian groups: a tuple of powers of g, one inside an already built
-    passing subgroup, or one whose members commute with g and with each
-    other passes without a build of its own.  An abelian group is not added
-    to the cover: a tuple inside it commutes too, and passes the same test.
+    abelian groups: a tuple or prefix of powers of g, one inside an already
+    built passing subgroup, or one whose members commute with g and with
+    each other passes without a build of its own.  An abelian group is not
+    added to the cover: a tuple inside it commutes too, and passes the same
+    test.  A failing prefix fails with every completion, so it is reported
+    with its first, where the unpruned scan first fails.
     """
     cover = _Cover(g_raw)
+    levels = [(level, [cover.bit(h) for h in level]) for level in inner]
     for i, hs in enumerate(candidates):
         bs = [cover.bit(h) for h in hs]
         mask = reduce(or_, bs, 0)
-        if cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
+        if levels:
+            live = [k for k in range(len(cover.groups)) if cover.covers((k,), hs, bs)]
+            failure = _scan_prefix(group, cover, predicate, levels, hs, mask, [live])
+        elif cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
             continue
-        if cover.abelian(hs, mask):
+        elif cover.abelian(hs, mask):
             continue
-        sub = _span(group, [g_raw, *hs])
-        if not predicate(sub):
-            return i, hs, sub
-        cover.add(sub, mask)
+        else:
+            failure = _build(group, cover, predicate, hs, mask, ())
+        if failure is not None:
+            return (i, *failure)
+    return None
+
+
+def _scan_prefix(group, cover, predicate, levels, hs, mask, lives):
+    """The first failing tuple, as (tuple, subgroup), among the prefix hs,
+    whose bits make `mask`, and its extensions by a member of each of
+    `levels` (members and their bits); None if all pass.  lives[-1] lists
+    the cover groups that contain hs, the earlier lists those that contain
+    its shorter prefixes, and a group built here joins each list."""
+    live = lives[-1]
+    if not (live or cover.cyclic(mask) or cover.abelian(hs, mask)):
+        failure = _build(group, cover, predicate, hs, mask, lives)
+        if failure is not None:
+            hs = (*hs, *(members[0] for members, _ in levels))
+            return hs, _span(group, [cover._g, *hs])
+    (members, bits), inner = levels[0], levels[1:]
+    if inner:
+        for h, b in zip(members, bits):
+            nxt = [k for k in live if cover.contains(k, h, b)]
+            failure = _scan_prefix(
+                group, cover, predicate, inner, (*hs, h), mask | b, [*lives, nxt]
+            )
+            if failure is not None:
+                return failure
+        return None
+    # the last level skips whole masks: the h known to pass are those inside
+    # a live group, and the powers of g, which add nothing to <g, *hs>
+    known = cover.powers
+    for k in live:
+        known |= cover.inside[k]
+    for h, b in zip(members, bits):
+        if b & known or cover.covers(live, (h,), (b,)):
+            continue
+        m = mask | b
+        if not cover.abelian((*hs, h), m):
+            failure = _build(group, cover, predicate, (*hs, h), m, lives)
+            if failure is not None:
+                return failure
+        known |= m
+    return None
+
+
+def _build(group, cover, predicate, hs, mask, lives):
+    """Build <g, *hs>, whose conjugates' bits make `mask`: (hs, the
+    subgroup) if it fails the predicate, else None once it is in the cover
+    and in each of the live lists."""
+    sub = _span(group, [cover._g, *hs])
+    if not predicate(sub):
+        return hs, sub
+    k = cover.add(sub, mask)
+    for live in lives:
+        live.append(k)
     return None
 
 
@@ -340,26 +394,37 @@ def _class_scan(
     g: Permutation,
     cls: ConjugacyClass,
     budget: int,
+    conjugates: int = 1,
     nilpotent: bool = False,
 ) -> CriterionVerdict:
-    """Exhaustive verdict on every <g, xgx^-1> being solvable (or
-    nilpotent), over the C_G(g)-orbit representatives of the class of g."""
-    reps = _scan_reps(group, g, cls)
-    _check_budget(reps.count, budget, "orbit representatives")
+    """Exhaustive verdict on every <g, x1 g x1^-1, ..., xk g xk^-1>, k =
+    `conjugates`, being solvable (or nilpotent): x1 g x1^-1 runs over the
+    C_G(g)-orbit representatives of the class of g, the later ones over the
+    whole class."""
+    if g == cls.representative:
+        reps = cls.orbit_reps  # the class's own, computed once
+    else:
+        reps = cls.orbit_reps_under(centralizer(group, g, cls))
+    space = reps.count * cls.class_size ** (conjugates - 1)
+    what = ("orbit representatives", "reduced pairs", "reduced triples")
+    _check_budget(space, budget, what[conjugates - 1])
+    inner = [cls._elements_raw] * (conjugates - 1) if conjugates > 1 else []
     predicate = is_nilpotent if nilpotent else is_solvable
-    failure = _first_failure(group, g._img, _singles(cls._table, reps), predicate)
+    failure = _first_failure(
+        group, g._img, _singles(cls._table, reps), predicate, *inner
+    )
     witness = None
     if failure is not None:
-        _, (h,), sub = failure
-        x = _conjugator_to(cls, g, Permutation._from_raw(h))
+        _, hs, sub = failure
+        xs = [_conjugator_to(cls, g, Permutation._from_raw(h)) for h in hs]
         # only a nilpotency failure can still be solvable
-        witness = _witness_for(sub, [x], nilpotent and is_solvable(sub))
+        witness = _witness_for(sub, xs, nilpotent and is_solvable(sub))
     return CriterionVerdict(
         element=g,
         in_radical_claimed=witness is None,
         witness=witness,
         search_mode=EXHAUSTIVE,
-        tuples_checked=reps.count,
+        tuples_checked=space,
     )
 
 
@@ -510,16 +575,11 @@ def four_conjugate_element_test(
     """Is <g, aga^-1, bgb^-1, cgc^-1> solvable for all a, b, c in G?
 
     Randomized mode samples `tuple_budget` triples (default
-    DEFAULT_RANDOMIZED_BUDGET) and can only report a witness.
-    Exhaustive mode scans (h1, h2, h3) over class(g)^3 with the first
-    coordinate reduced to centralizer-orbit representatives; it requires
-    that space, len(h1 reps) * |class(g)|^2, to be <= tuple_budget
-    (default DEFAULT_TUPLE_BUDGET).  A
-    subgroup containing a nonsolvable subgroup is nonsolvable, so prefixes
-    <g,h1> / <g,h1,h2> that already fail are reported with the
-    lexicographically first completion, which is exactly where the naive
-    scan would first fail.  One cover of passing subgroups serves all three
-    levels: a prefix or tuple inside one of them is not built.
+    DEFAULT_RANDOMIZED_BUDGET) and can only report a witness.  Exhaustive
+    mode is the class scan with three conjugates: (h1, h2, h3) over
+    class(g)^3, h1 reduced to centralizer-orbit representatives, a space of
+    len(h1 reps) * |class(g)|^2 that must be <= tuple_budget (default
+    DEFAULT_TUPLE_BUDGET).
     """
     _require_member(group, g)
     tuple_budget = _budget_or_default(tuple_budget, mode)
@@ -527,74 +587,7 @@ def four_conjugate_element_test(
         return _random_search(group, g, 3, tuple_budget, rng_seed)
 
     cls = class_of_g if class_of_g is not None else class_of(group, g)
-    raw = cls._elements_raw
-    h1_reps = _scan_reps(group, g, cls)
-    total = h1_reps.count * len(raw) * len(raw)
-    _check_budget(total, tuple_budget, "reduced triples")
-    g_raw = g._img
-    first = raw[0]
-
-    def failure(hs, sub=None):
-        if sub is None:  # a failing prefix: report its first completion
-            sub = _span(group, [g_raw, *hs])
-        conjs = [
-            _conjugator_to(cls, g, Permutation._from_raw(h)) for h in hs
-        ]
-        return CriterionVerdict(
-            element=g,
-            in_radical_claimed=False,
-            witness=_witness_for(sub, conjs),
-            search_mode=EXHAUSTIVE,
-            tuples_checked=total,
-        )
-
-    # live1 / live2: the cover groups containing h1 / h1 and h2
-    cover = _Cover(g_raw)
-    bits = [cover.bit(h) for h in raw]
-
-    def build(hs, mask, *lives) -> Optional[Bsgs]:
-        """Build <g, *hs>: the subgroup if it is not solvable, else None
-        once it is in the cover and in each of the live lists."""
-        sub = _span(group, [g_raw, *hs])
-        if not is_solvable(sub):
-            return sub
-        k = cover.add(sub, mask)
-        for live in lives:
-            live.append(k)
-        return None
-
-    for h1 in map(cls._table.elements.__getitem__, h1_reps):
-        m1 = cover.bit(h1)
-        live1 = [k for k in range(len(cover.groups)) if cover.contains(k, h1, m1)]
-        if not live1 and not cover.cyclic(m1):
-            if build((h1,), m1, live1) is not None:
-                return failure((h1, first, first))
-        for h2, b2 in zip(raw, bits):
-            m2 = m1 | b2
-            live2 = [k for k in live1 if cover.contains(k, h2, b2)]
-            if not live2 and not cover.cyclic(m2):
-                if build((h1, h2), m2, live1, live2) is not None:
-                    return failure((h1, h2, first))
-            # the h3 known to pass: those inside a live2 group, and the
-            # powers of g, which add nothing to the passing <g, h1, h2>
-            known = cover.powers
-            for k in live2:
-                known |= cover.inside[k]
-            for h3, b3 in zip(raw, bits):
-                if b3 & known or cover.covers(live2, (h3,), (b3,)):
-                    continue
-                m3 = m2 | b3
-                sub = build((h1, h2, h3), m3, live1, live2)
-                if sub is not None:
-                    return failure((h1, h2, h3), sub)
-                known |= m3
-    return CriterionVerdict(
-        element=g,
-        in_radical_claimed=True,
-        witness=None,
-        search_mode=EXHAUSTIVE,
-        tuples_checked=total,
-    )
+    return _class_scan(group, g, cls, tuple_budget, conjugates=3)
 
 
 def four_conjugate_radical(

@@ -170,6 +170,21 @@ class TestVerify:
         assert code == EXIT_BUDGET
         assert "exceed the tuple budget 1" in rep["details"]["error"]
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("four", "S(4)", "--budget", "255"),
+             "256 reduced triples exceed the tuple budget 255"),
+            (("two", "A(5)", "--budget", "1"),
+             "4 orbit representatives exceed the tuple budget 1"),
+        ],
+    )
+    def test_budget_error_names_the_scanned_space(self, capsys, argv, error):
+        # one class scan serves both, with one conjugate or with three
+        code, rep = run(capsys, "verify", *argv)
+        assert code == EXIT_BUDGET
+        assert rep["details"]["error"] == error
+
     @pytest.mark.parametrize("theorem", ["bs", "pairs"])
     def test_randomized_budget_is_not_a_tuple_budget(self, capsys, theorem):
         # bs and pairs always scan exhaustively; --budget counts samples only

@@ -7,14 +7,17 @@ scans below are the unpruned loops: every candidate in canonical order (or
 every random sample) gets its own subgroup, centralizer orbits come from
 brute-force centralizers, and the Thompson scan visits every (class
 representative, element) pair.  Verdicts, witnesses (conjugators and
-generated order) and counters must agree, and no cover group may sift the
-same conjugate twice.  The sharpness check builds one triple of
+generated order) and counters must agree, no cover group may sift the
+same conjugate twice, no scan may build a tuple that a passing group it
+built earlier contains, and no scan may leave a reference cycle for the
+collector.  The sharpness check builds one triple of
 transpositions per graph shape; its reference builds them all.
 """
 
+import gc
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from solvrad.criteria import (
     RANDOMIZED,
     BudgetExceededError,
     SharpnessReport,
+    _class_scan,
     _first_failure,
     _random_search,
     _triple_shape,
@@ -107,8 +111,8 @@ def reference_class_scan(group, cls, predicate):
     return True, len(reps), None
 
 
-def reference_four(group, cls):
-    g = cls.representative
+def reference_four(group, cls, g=None):
+    g = cls.representative if g is None else g
     raw = cls._elements_raw
     h1_reps = _orbit_reps(group, g._img, raw)
     total = len(h1_reps) * len(raw) ** 2
@@ -245,6 +249,72 @@ def test_pruned_scans_match_reference(spec, group_of, classes_of):
     check_group_scans(group_of(spec), classes_of(spec))
 
 
+@pytest.mark.parametrize("spec", ["A(5)", "S(5)", "PSL2(7)"])
+def test_four_from_a_non_representative_matches_reference(spec, group_of, classes_of):
+    # from the class representative, the smallest member, the scan starts
+    # at (g, g, h3) and meets every failing triple there first; from the
+    # largest member a prefix <g, h1> or <g, h1, h2> can fail first, and is
+    # reported with its first completion
+    group = group_of(spec)
+    failed = 0
+    for cls in classes_of(spec):
+        x = cls.elements[-1]
+        v = four_conjugate_element_test(group, x, class_of_g=cls)
+        assert _verdict_key(v) == reference_four(group, cls, x)
+        failed += not v.in_radical_claimed
+    assert failed
+
+
+@pytest.mark.parametrize("spec", ["A(5)", "S(5)", "PSL2(7)", "direct(S(4),C(2))"])
+def test_class_scan_of_two_conjugates_matches_reference(spec, group_of, classes_of):
+    # one inner level: <g, h1, h2>, h1 over the orbit representatives and
+    # h2 over the class, every pair built by the reference
+    group = group_of(spec)
+    for cls in classes_of(spec):
+        g = cls.representative
+        raw = cls._elements_raw
+        reps = _orbit_reps(group, g._img, raw)
+        want = True, len(reps) * len(raw), None
+        for hs in product(reps, raw):
+            if not is_solvable(_span(group.degree, [g._img, *hs])):
+                want = False, want[1], _reference_witness(group, g, hs, cls)
+                break
+        assert _verdict_key(_class_scan(group, g, cls, 10**6, conjugates=2)) == want
+
+
+@pytest.mark.parametrize(
+    "spec", ["S(4)", "direct(C(3),S(4))", "direct(C(5),A(5))", "PSL2(7)"]
+)
+def test_no_build_lies_in_an_earlier_passing_group(spec, group_of, classes_of,
+                                                   monkeypatch):
+    # every group a scan builds joins each live list that contains its
+    # prefix, so no later tuple inside it is built
+    group, classes = group_of(spec), classes_of(spec)
+    scans = []  # per cover: the (generators, subgroup) built, in order
+    init, span = solvrad.criteria._Cover.__init__, solvrad.criteria._span
+
+    def new_cover(self, g):
+        scans.append([])
+        init(self, g)
+
+    def recorded(group, raws):
+        sub = span(group, raws)
+        scans[-1].append((raws, sub))
+        return sub
+
+    monkeypatch.setattr(solvrad.criteria._Cover, "__init__", new_cover)
+    monkeypatch.setattr(solvrad.criteria, "_span", recorded)
+    for mode in (EXHAUSTIVE, RANDOMIZED):
+        four_conjugate_radical(group, classes, mode, None, rng_seed=4)
+    assert sum(map(len, scans)) > 5
+    for builds in scans:
+        passing = []
+        for raws, sub in builds:
+            assert not any(all(map(p._contains_raw, raws)) for p in passing)
+            if is_solvable(sub):
+                passing.append(sub)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
@@ -348,16 +418,37 @@ def test_commuting_tuples_are_not_built(group_of, classes_of, monkeypatch):
     assert class_pair_solvability(abelian, abelian_classes).all_classes_pass
     tv = thompson_test(abelian, abelian.order, abelian_classes)
     assert tv.all_pairs_solvable and tv.pairs_checked == 24 * 24
-    four = four_conjugate_radical(abelian, abelian_classes, RANDOMIZED, 20, rng_seed=1)
-    assert all(v.in_radical_claimed for v in four.verdicts)
+    for mode, budget in ((RANDOMIZED, 20), (EXHAUSTIVE, None)):
+        four = four_conjugate_radical(abelian, abelian_classes, mode, budget, rng_seed=1)
+        assert all(v.in_radical_claimed for v in four.verdicts)
 
     g = klein.representative
     assert baer_suzuki_set(s4, [klein]).verdicts[0].in_radical_claimed
     assert class_pair_solvability(s4, [klein]).all_classes_pass
-    assert four_conjugate_element_test(
-        s4, g, RANDOMIZED, 20, class_of_g=klein
-    ).in_radical_claimed
+    for mode, budget in ((RANDOMIZED, 20), (EXHAUSTIVE, None)):
+        assert four_conjugate_element_test(
+            s4, g, mode, budget, class_of_g=klein
+        ).in_radical_claimed
     assert builds == []
+
+
+@pytest.mark.parametrize("spec", ["direct(C(5),A(5))", "direct(S(4),C(2))", "PSL2(7)"])
+def test_scans_leave_no_garbage_cycles(spec, group_of, classes_of):
+    # a cover's groups must be freed by reference counting once its scan
+    # returns, not wait for the cyclic collector
+    group, classes = group_of(spec), classes_of(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in (EXHAUSTIVE, RANDOMIZED):
+            four_conjugate_radical(group, classes, mode, None, rng_seed=2)
+            two_conjugate_radical(group, classes, mode, 50, rng_seed=2)
+        baer_suzuki_set(group, classes)
+        class_pair_solvability(group, classes)
+        thompson_test(group, group.order, classes)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_tuple_commuting_with_g_but_not_within_is_built(group_of):
