@@ -15,8 +15,10 @@ group once (_Numbering): each group generator's conjugation action becomes
 an array of numbers, and the class walks run on the numbers, recording a
 class id, a parent and a generator per element instead of a conjugator.
 Conjugators, and a centralizer's Schreier generators, are read from those
-arrays on demand.  Centralizer-orbit representatives are produced lazily,
-as far as a scan reads them, and counted by Burnside's lemma (_OrbitReps).
+arrays on demand: every centralizer reads the walk of its element's class,
+so no orbit is walked twice.  Centralizer-orbit representatives are
+produced lazily, as far as a scan reads them, and counted by Burnside's
+lemma (_OrbitReps).
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class GeneratorSet:
 
     Identity entries are dropped; the empty list generates the trivial group.
     `order` is the order of the generated group when the constructor knows
-    it without a build (the named families of `zoo`), else None.
+    it: the named families of `zoo` without a build, a group file from the
+    order it checked against its claimed_order.  Otherwise it is None.
     """
 
     __slots__ = ("degree", "generators", "order")
@@ -414,24 +417,17 @@ def centralizer(
     That order is exact, so it also bounds the centralizer's chain (see
     _Chain): the Schreier-Sims of the generator that reaches it ends there.
 
-    The orbit is numbered (see _Numbering): each Schreier generator
-    w^-1 s u takes its conjugators u and w from the walk's parent and
-    generator arrays, on demand, and a walk edge (w = s u) is skipped
-    without a product.  When x is the representative of `cls`, a class of
-    `group`, the class's walk is the orbit and it is not walked again.
+    The orbit is the walk of `cls`, a class of `group` holding x, or of
+    class_of(group, x) when `cls` is None or of another group; a `cls`
+    without x raises MembershipError.  Each Schreier generator w^-1 s u
+    takes its conjugators u and w from the walk's parent and generator
+    arrays, on demand, rooted at x: with c the class's conjugator, u_y =
+    c(y) c(x)^-1.  A walk edge (w = s u) is skipped without a product.
     """
-    if not group.contains(x):
-        raise MembershipError(f"{x!r} is not a member of the group")
-    xr = x._img
-    ident = _identity(group.degree)
-    if cls is not None and cls._table.group is group and cls.representative == x:
-        table, orbit, root = cls._table, cls._members, cls._root
-        known = {root: cls._root_conj}
-    else:
-        table = _Numbering(group, sorted(_conjugation_orbit(group, xr)))
-        root = table.pos[_base_image(xr, group._chain.base)]
-        orbit = table.walk(root)
-        known = {root: ident}
+    if cls is None or cls._table.group is not group:
+        cls = class_of(group, x)
+    table, orbit = cls._table, cls._members
+    known = {cls._root: _mul(cls._root_conj, _inv(cls.conjugator(x)._img))}
     target, rem = divmod(group.order, len(orbit))
     assert rem == 0, "orbit size must divide the group order"
 
@@ -447,7 +443,7 @@ def centralizer(
                 continue  # a walk edge: the Schreier generator is trivial
             w = table.conjugator(z, known)
             cand = _mul(_inv(w), _mul(s, u))
-            if cand != ident and not chain.contains(cand):
+            if cand != chain._ident and not chain.contains(cand):
                 chain.extend([cand])
                 if chain.order() == target:
                     done = True
@@ -801,7 +797,7 @@ def conjugacy_classes(
 
 def _check_element_cap(order: int, element_cap: int) -> None:
     """Refuse a group of `order` elements past the element cap, before its
-    classes are enumerated."""
+    elements or classes are enumerated."""
     if order > element_cap:
         raise CapExceededError(
             f"group order {order} exceeds element cap {element_cap}; "
@@ -871,10 +867,7 @@ def enumerate_elements(
 ) -> Iterator[Permutation]:
     """Every element exactly once, via transversal products, in a fixed
     deterministic order."""
-    if group.order > cap:
-        raise CapExceededError(
-            f"group order {group.order} exceeds cap {cap}"
-        )
+    _check_element_cap(group.order, cap)
     for g in _enumerate_raw(group):
         yield Permutation._from_raw(g)
 

@@ -142,9 +142,9 @@ def _require_positive(name: str, value: Optional[int]) -> None:
 
 class GroupContext:
     """The group of one (spec, element cap), its classes, and, on first use,
-    its radical oracles and derived series, each computed once.  A named
-    group whose order the spec gives is refused past the cap before it is
-    built."""
+    its radical oracles and derived series, each computed once.  A group
+    whose order the spec gives, a named family or a file with a
+    claimed_order, is refused past the cap before it is built."""
 
     def __init__(self, spec: str, element_cap: int):
         self.spec = spec

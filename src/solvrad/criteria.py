@@ -55,11 +55,11 @@ from typing import Optional
 
 from .bsgs import (
     Bsgs,
-    CapExceededError,
     ConjugacyClass,
     GeneratorSet,
     MembershipError,
     _OrbitReps,
+    _check_element_cap,
     centralizer,
     class_of,
     conjugacy_classes,
@@ -300,15 +300,15 @@ class _Cover:
 
 
 def _first_failure(
-    group: Bsgs, g_raw: tuple, candidates, predicate, *inner
+    group: Bsgs, g_raw: tuple, candidates, predicate, members=(), depth: int = 0
 ) -> Optional[tuple[int, tuple, Bsgs]]:
     """The first tuple of conjugates (h1, ..., hk) of `candidates`, in their
-    order, each extended by one member of each `inner` sequence in turn,
-    whose <g, h1, ...> fails the predicate, with its candidate's index and
-    the subgroup built for it; None if every one passes.  `candidates` may
-    be any iterable, and is consumed no further than the failing tuple.
-    g and the conjugates are members of `group`, whose order bounds each
-    build.
+    order, each extended by `depth` further conjugates from `members`, one
+    per level in turn, whose <g, h1, ...> fails the predicate, with its
+    candidate's index and the subgroup built for it; None if every one
+    passes.  `candidates` may be any iterable, and is consumed no further
+    than the failing tuple.  g and the conjugates are members of `group`,
+    whose order bounds each build.
 
     The predicate must pass to subgroups (solvable, nilpotent) and hold on
     abelian groups: a tuple or prefix of powers of g, one inside an already
@@ -319,13 +319,15 @@ def _first_failure(
     with its first, where the unpruned scan first fails.
     """
     cover = _Cover(g_raw)
-    levels = [(level, [cover.bit(h) for h in level]) for level in inner]
+    level = (members, [cover.bit(h) for h in members])
     for i, hs in enumerate(candidates):
         bs = [cover.bit(h) for h in hs]
         mask = reduce(or_, bs, 0)
-        if levels:
+        if depth:
             live = [k for k in range(len(cover.groups)) if cover.covers((k,), hs, bs)]
-            failure = _scan_prefix(group, cover, predicate, levels, hs, mask, [live])
+            failure = _scan_prefix(
+                group, cover, predicate, level, depth, hs, mask, [live]
+            )
         elif cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
             continue
         elif cover.abelian(hs, mask):
@@ -337,24 +339,25 @@ def _first_failure(
     return None
 
 
-def _scan_prefix(group, cover, predicate, levels, hs, mask, lives):
+def _scan_prefix(group, cover, predicate, level, depth, hs, mask, lives):
     """The first failing tuple, as (tuple, subgroup), among the prefix hs,
-    whose bits make `mask`, and its extensions by a member of each of
-    `levels` (members and their bits); None if all pass.  lives[-1] lists
+    whose bits make `mask`, and its extensions by `depth` members of
+    `level` (members and their bits); None if all pass.  lives[-1] lists
     the cover groups that contain hs, the earlier lists those that contain
     its shorter prefixes, and a group built here joins each list."""
     live = lives[-1]
+    members, bits = level
     if not (live or cover.cyclic(mask) or cover.abelian(hs, mask)):
         failure = _build(group, cover, predicate, hs, mask, lives)
         if failure is not None:
-            hs = (*hs, *(members[0] for members, _ in levels))
+            hs = (*hs, *[members[0]] * depth)
             return hs, _span(group, [cover._g, *hs])
-    (members, bits), inner = levels[0], levels[1:]
-    if inner:
+    if depth > 1:
         for h, b in zip(members, bits):
             nxt = [k for k in live if cover.contains(k, h, b)]
             failure = _scan_prefix(
-                group, cover, predicate, inner, (*hs, h), mask | b, [*lives, nxt]
+                group, cover, predicate, level, depth - 1, (*hs, h), mask | b,
+                [*lives, nxt],
             )
             if failure is not None:
                 return failure
@@ -400,18 +403,19 @@ def _class_scan(
     """Exhaustive verdict on every <g, x1 g x1^-1, ..., xk g xk^-1>, k =
     `conjugates`, being solvable (or nilpotent): x1 g x1^-1 runs over the
     C_G(g)-orbit representatives of the class of g, the later ones over the
-    whole class."""
+    whole class.  C_G(g) is read from the walk of `cls`, which refuses a g
+    outside it."""
     if g == cls.representative:
         reps = cls.orbit_reps  # the class's own, computed once
     else:
-        reps = cls.orbit_reps_under(centralizer(group, g, cls))
+        reps = cls.orbit_reps_under(centralizer(cls._table.group, g, cls))
     space = reps.count * cls.class_size ** (conjugates - 1)
     what = ("orbit representatives", "reduced pairs", "reduced triples")
     _check_budget(space, budget, what[conjugates - 1])
-    inner = [cls._elements_raw] * (conjugates - 1) if conjugates > 1 else []
     predicate = is_nilpotent if nilpotent else is_solvable
+    members = cls._elements_raw if conjugates > 1 else ()
     failure = _first_failure(
-        group, g._img, _singles(cls._table, reps), predicate, *inner
+        group, g._img, _singles(cls._table, reps), predicate, members, conjugates - 1
     )
     witness = None
     if failure is not None:
@@ -495,9 +499,7 @@ def nonsolvable_witness_search(
 ) -> Optional[Witness]:
     """Randomized falsifier: sample x uniformly and return the first x with
     <g, xgx^-1> nonsolvable, or None once the budget is exhausted."""
-    _require_member(group, g)
-    _require_prime_order_gt3(g)
-    return _random_search(group, g, 1, budget, rng_seed).witness
+    return two_conjugate_test(group, g, RANDOMIZED, budget, rng_seed).witness
 
 
 def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
@@ -658,10 +660,7 @@ def thompson_test(
     counts the pairs of the unreduced scan, (class rep, element) over the
     whole group in sorted order, up to and including a failing one.
     `classes`, when given, must be the group's conjugacy classes."""
-    if group.order > element_cap:
-        raise CapExceededError(
-            f"group order {group.order} exceeds element cap {element_cap}"
-        )
+    _check_element_cap(group.order, element_cap)
     if classes is None:
         classes = conjugacy_classes(group, element_cap)
     # the classes share one numbering of the whole group, in sorted order,

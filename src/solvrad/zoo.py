@@ -9,8 +9,9 @@ package (so file:sz8.json always works).
 
 The family constructors, and direct products of them, set the order of
 the generated group on the GeneratorSet they return, so a caller can
-refuse a group past its element cap before building it.  A file: spec
-leaves it None.
+refuse a group past its element cap before building it.  A file: spec sets
+it to the order it checked against the file's claimed_order, and leaves it
+None when the file claims none.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class GroupFile:
 
 def load_group_file(path: str) -> tuple[GeneratorSet, GroupFile]:
     """Parse a JSON generator file and, when claimed_order is present,
-    verify it against the computed group order (mismatch is a hard error)."""
+    verify it against the computed group order (mismatch is a hard error)
+    and set it as the returned GeneratorSet's order."""
     source = _resolve_file(path)
     try:
         doc = json.loads(source.read_text())
@@ -146,11 +148,11 @@ def load_group_file(path: str) -> tuple[GeneratorSet, GroupFile]:
         raise GroupFileError(f"bad generator in {path}: {e}") from e
     gens = GeneratorSet(meta.degree, perms)
     if meta.claimed_order is not None:
-        got = build_bsgs(gens).order
-        if got != meta.claimed_order:
+        gens.order = build_bsgs(gens).order
+        if gens.order != meta.claimed_order:
             raise GroupFileError(
                 f"order mismatch in {path}: claimed {meta.claimed_order}, "
-                f"computed {got}"
+                f"computed {gens.order}"
             )
     return gens, meta
 

@@ -28,6 +28,7 @@ from solvrad.bsgs import (
     class_of,
     conjugacy_classes,
     enumerate_elements,
+    same_subgroup,
 )
 from solvrad.criteria import reduced_conjugate_orbit
 from solvrad.perm import Permutation, _identity, _inv, _mul
@@ -227,14 +228,19 @@ def check_class_of_non_representatives(group, classes):
 
 def check_streams(group, classes):
     """For the representative, a middle and the last member g of every
-    class, the C_G(g)-orbit representatives on the class, from the
-    whole-group numbering (counted by Burnside's lemma where it applies) and
-    from class_of's numbering of the class alone (counted by the walk)."""
+    class, C_G(g) read from the class's walk, which is the subgroup that a
+    fresh walk from g gives, and the C_G(g)-orbit representatives on the
+    class, from the whole-group numbering (counted by Burnside's lemma where
+    it applies) and from class_of's numbering of the class alone (counted
+    by the walk)."""
     for cls in classes:
         members = cls._elements_raw
         for h in sorted({members[0], members[len(members) // 2], members[-1]}):
             p = Permutation._from_raw(h)
             cz = centralizer(group, p, cls)
+            assert same_subgroup(cz, centralizer(group, p))
+            assert all(_mul(s, h) == _mul(h, s) for s in cz._gens_raw)
+            assert cz.order * cls.class_size == group.order
             ref = ref_orbit_partition_reps(members, cz._gens_raw)
             assert_stream_matches(
                 cls.orbit_reps_under(cz), ref, burnside_applies(cls, cz)

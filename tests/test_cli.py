@@ -98,6 +98,28 @@ class TestInfo:
         assert code == EXIT_BUDGET
         assert rep["details"]["error"] == str(built.value)
 
+    @pytest.mark.parametrize("spec", ["file:{}", "direct(file:{},C(2))"])
+    def test_over_cap_file_group_is_refused_before_its_build(
+        self, capsys, monkeypatch, tmp_path, spec
+    ):
+        # a file's checked claimed_order is the order of the group it names
+        path = tmp_path / "s7.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": "S7", "degree": 7,
+            "generators": ["(1,2)", "(1,2,3,4,5,6,7)"], "claimed_order": 5040,
+        }))
+        spec = spec.format(path)
+        with pytest.raises(solvrad.bsgs.CapExceededError) as built:
+            solvrad.bsgs.conjugacy_classes(build_bsgs(construct(spec)), 1000)
+
+        def no_build(gens):
+            pytest.fail("an over-cap file group was built")
+
+        monkeypatch.setattr(solvrad.cli, "build_bsgs", no_build)
+        code, rep = run(capsys, "info", spec, "--element-cap", "1000")
+        assert code == EXIT_BUDGET
+        assert rep["details"]["error"] == str(built.value)
+
 
     @pytest.mark.parametrize(
         "argv, cap",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import solvrad.bsgs
 from solvrad.bsgs import (
     CapExceededError,
     GeneratorSet,
@@ -332,6 +333,59 @@ class TestFourConjugate:
         assert v.witness is not None
         assert len(v.witness.conjugators) == 3
         assert_witness_regenerates(g, v.element, v.witness)
+
+
+class TestGivenClass:
+    """The class handed to an exhaustive per-element test as class_of_g."""
+
+    @pytest.mark.parametrize(
+        "test", [two_conjugate_test, four_conjugate_element_test]
+    )
+    def test_class_without_g_raises_membership_error(
+        self, test, group_of, classes_of
+    ):
+        group = group_of("A(5)")
+        g = parse_cycles("(1,2,3,4,5)", 5)
+        without_g = [c for c in classes_of("A(5)") if g not in c.elements]
+        assert without_g[0].representative.is_identity()
+        assert any(c.representative.order() == 5 for c in without_g)
+        other = build_bsgs(GeneratorSet(5, group.generators))  # a second build
+        for cls in without_g:
+            for given in (cls, class_of(other, cls.representative)):
+                with pytest.raises(MembershipError):
+                    test(group, g, class_of_g=given)
+
+    @pytest.mark.parametrize(
+        "test", [two_conjugate_test, four_conjugate_element_test]
+    )
+    def test_given_class_is_not_walked_again(
+        self, test, group_of, classes_of, monkeypatch
+    ):
+        """A non-representative g takes its centralizer from the given
+        class's walk: no conjugation orbit is walked for it."""
+        group = group_of("A(5)")
+        g = class_of(group, parse_cycles("(1,2,3,4,5)", 5)).elements[-1]
+        own = class_of(group, g)
+        whole = next(c for c in classes_of("A(5)") if g in c.elements)
+        assert g not in (own.representative, whole.representative)
+        expected = test(group, g)
+        walks = []
+        walk = solvrad.bsgs._conjugation_orbit
+        monkeypatch.setattr(
+            solvrad.bsgs, "_conjugation_orbit",
+            lambda *args: walks.append(args) or walk(*args),
+        )
+        assert test(group, g, class_of_g=own) == expected
+        got = test(group, g, class_of_g=whole)
+        assert walks == []
+        assert not got.in_radical_claimed
+        assert got.tuples_checked == expected.tuples_checked
+        # the conjugators follow the class's walk; the conjugates they give
+        # are the canonical first failure
+        assert [conjugate(g, x) for x in got.witness.conjugators] == [
+            conjugate(g, x) for x in expected.witness.conjugators
+        ]
+        assert_witness_regenerates(group, g, got.witness)
 
 
 class TestClassPairSolvability:

@@ -51,6 +51,15 @@ class TestConstructors:
         nested = construct("direct(direct(S(3),C(2)),PSL2(5))")
         assert nested.order == build_bsgs(nested).order == 720
 
+    def test_file_order_is_its_checked_claimed_order(self, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": "S3", "degree": 3,
+            "generators": ["(1,2)", "(1,2,3)"], "claimed_order": 6,
+        }))
+        assert construct(f"file:{path}").order == 6
+        assert construct(f"direct(file:{path},C(2))").order == 12
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_alternating_inside_symmetric_index_two(self, n):
         S = build_bsgs(symmetric(n))
