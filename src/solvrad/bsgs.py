@@ -820,11 +820,13 @@ def random_element(group: Bsgs, rng) -> Permutation:
     """Uniform random element via transversal sampling (exactly uniform).
 
     The element is u_0 u_1 ... u_k, one coset representative per chain
-    level, the i-th drawn by rng.randrange over level i's sorted orbit
-    points, first level first.  The draw reads blocks of consecutive levels
-    from tables of their products (`_draw_blocks`), built on the group's
-    first draw, so it takes one product per block instead of one per level
-    and still returns the same element for the same rng calls.
+    level, the i-th drawn over level i's sorted orbit points, first level
+    first.  Each level index is drawn with the rng.getrandbits calls that
+    rng.randrange makes for it (the same rejection loop, inline), so the
+    element and the rng's end state are those of one randrange per level.
+    The draw reads blocks of consecutive levels from tables of their
+    products (`_draw_blocks`), built on the group's first draw, so it takes
+    one product per block instead of one per level.
 
     `rng` is a random.Random or an int seed; a fixed Random instance yields
     a reproducible sequence.
@@ -834,11 +836,16 @@ def random_element(group: Bsgs, rng) -> Permutation:
     blocks = group._draw_blocks
     if blocks is None:
         blocks = group._draw_blocks = _draw_blocks(group._chain)
+    getrandbits = rng.getrandbits
     g = None
     for sizes, table in blocks:
         i = 0
         for n in sizes:
-            i = i * n + rng.randrange(n)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            i = i * n + r
         g = table[i] if g is None else _mul(g, table[i])
     return Permutation._from_raw(g if g is not None else _identity(group.degree))
 

@@ -135,9 +135,9 @@ def _group_info(ctx: GroupContext) -> dict:
     return {"spec_text": ctx.spec, "degree": ctx.group.degree, "order": ctx.group.order}
 
 
-def _require_positive(name: str, value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+def _require_at_least(name: str, value: Optional[int], least: int) -> None:
+    if value is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class GroupContext:
@@ -329,7 +329,8 @@ def cmd_suite(
 ) -> tuple[int, VerificationReport]:
     t0 = time.perf_counter()
     try:
-        _require_positive("element_cap", element_cap)
+        _require_at_least("element_cap", element_cap, 1)
+        _require_at_least("seed", seed, 0)
         entries = _suite_entries(config_path)
     except USAGE_ERRORS as e:
         return _failure("suite", None, e)
@@ -424,8 +425,9 @@ def _run_entry(
     cap = flags["element_cap"]
     t0 = time.perf_counter()
     try:
-        _require_positive("budget", budget)
-        _require_positive("element_cap", cap)
+        _require_at_least("budget", budget, 1)
+        _require_at_least("seed", flags.get("seed"), 0)
+        _require_at_least("element_cap", cap, 1)
         if command == "sharpness":
             code, report = cmd_sharpness(flags["n"])
         else:

@@ -608,15 +608,21 @@ def _reference_draw(group, rng):
 DRAW_SPECS = ["C(2)", "S(4)", "PSL2(7)", "direct(S(4),S(4))", "C(1)", "file:sz8.json"]
 
 
+class _NoRandrange(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("random_element called rng.randrange")
+
+
 class TestBlockedDraws:
     @pytest.mark.parametrize("spec", DRAW_SPECS)
     def test_draws_equal_the_level_by_level_product(self, spec, group_of):
         g = group_of(spec)
         for seed in range(20):
-            rng, ref = random.Random(seed), random.Random(seed)
+            rng, ref = _NoRandrange(seed), random.Random(seed)
             for _ in range(200):
                 assert random_element(g, rng)._img == _reference_draw(g, ref)
-            # the same rng calls: both streams end in the same state
+            # the same getrandbits calls as randrange: both streams end in
+            # the same state
             assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("spec", DRAW_SPECS)

@@ -248,6 +248,17 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "element_cap must be >= 1" in rep["details"]["error"]
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # Random(-s) is seeded like Random(s): a negative seed would rerun
+        # seed s's stream under another name
+        argv = ["verify", "four", "S(4)", "--randomized", "--budget", "20"]
+        code, rep = run(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert rep["details"]["error"] == "seed must be >= 0, got -1"
+        code, rep = run(capsys, *argv, "--seed", "0")
+        assert code == EXIT_OK
+        assert rep["rng_seed"] == 0
+
 
 class TestSharpness:
     def test_n5(self, capsys):
@@ -426,6 +437,21 @@ class TestSuite:
         assert entry["report"]["per_element_results"] == []
         assert "budget must be >= 1" in entry["report"]["details"]["error"]
 
+    def test_negative_entry_seed_is_usage_error(self, capsys, tmp_path):
+        code, rep = self.suite(capsys, tmp_path, [
+            {"command": "two", "spec": "A(5)",
+             "flags": {"randomized": True, "budget": 5, "seed": -1}},
+            {"command": "two", "spec": "A(5)",
+             "flags": {"randomized": True, "budget": 5, "seed": 0}},
+        ])
+        assert code == EXIT_USAGE
+        entries = rep["details"]["entries"]
+        assert [e["exit_code"] for e in entries] == [EXIT_USAGE, EXIT_OK]
+        assert entries[0]["report"]["details"]["error"] == (
+            "seed must be >= 0, got -1"
+        )
+        assert entries[1]["report"]["rng_seed"] == 0
+
     def test_non_positive_entry_element_cap_is_usage_error(self, capsys, tmp_path):
         code, rep = self.suite(capsys, tmp_path, [
             {"command": "info", "spec": "S(4)", "flags": {"element_cap": 0}},
@@ -443,6 +469,16 @@ class TestSuite:
             "--element-cap", "-1",
         )
         assert code == EXIT_USAGE
+
+    def test_negative_suite_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(solvrad.cli, "_run_entry", None)  # no entry runs
+        code, rep = self.suite(
+            capsys, tmp_path, [{"command": "info", "spec": "S(4)"}],
+            "--seed", "-1",
+        )
+        assert code == EXIT_USAGE
+        assert rep["details"]["error"] == "seed must be >= 0, got -1"
+        assert "entries" not in rep["details"]
 
     def test_entries_sharing_a_spec_match_their_solo_runs(
         self, capsys, tmp_path, monkeypatch
