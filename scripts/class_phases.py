@@ -5,11 +5,13 @@ For one group spec, runs the steps of `bsgs.conjugacy_classes` one by one,
 then what a criterion scan asks of each nontrivial class, and prints the
 best time of each phase over the repetitions:
 
-    enumerate   the transversal products (`_enumerate_raw`)
-    sort        sorting them, which numbers the elements
+    rows        the transversal products' images of the row points P
+                (`_row_points`, `_enumerate_raw`)
+    sort        sorting the rows, which numbers the elements
     index       the base-image index and the generators' conjugation
                 actions on the numbers (`_Numbering`)
-    walks       the class walks on the numbers
+    walks       the class walks on the numbers, and the representatives,
+                rebuilt from their rows when P is not every point
     centralizers  C_G(rep) of every class, from its walk
     count       the number of C_G(rep)-orbits on every class, by Burnside's
                 lemma where it applies, else by the completed walk
@@ -17,7 +19,8 @@ best time of each phase over the repetitions:
                 fresh stream
     all reps    every orbit representative of every class
 
-and the peak RSS of the process.  Stdlib only; run from a checkout:
+together with |P|, how many elements the class build rebuilt from their
+rows, and the peak RSS of the process.  Stdlib only; run from a checkout:
 
     python3 scripts/class_phases.py 'file:sz8.json'
     python3 scripts/class_phases.py 'S(9)' --element-cap 400000 --repeat 2
@@ -37,12 +40,14 @@ from solvrad.bsgs import (  # noqa: E402
     ConjugacyClass,
     _enumerate_raw,
     _Numbering,
+    _row_points,
+    _sorted_rows,
     build_bsgs,
 )
 from solvrad.zoo import construct  # noqa: E402
 
 PHASES = (
-    "enumerate", "sort", "index", "walks", "centralizers", "count", "first-k",
+    "rows", "sort", "index", "walks", "centralizers", "count", "first-k",
     "all reps",
 )
 
@@ -52,15 +57,16 @@ def one_run(group, k: int) -> dict:
     clock = time.perf_counter
 
     t = clock()
-    elements = _enumerate_raw(group)
-    times["enumerate"] = clock() - t
+    points = _row_points(group)
+    rows = _enumerate_raw(group, points)
+    times["rows"] = clock() - t
 
     t = clock()
-    elements.sort()
+    rows, order = _sorted_rows(rows, points, group.degree)
     times["sort"] = clock() - t
 
     t = clock()
-    table = _Numbering(group, elements)
+    table = _Numbering(group, rows, points, order)
     times["index"] = clock() - t
 
     t = clock()
@@ -70,6 +76,8 @@ def one_run(group, k: int) -> dict:
         for j in range(len(cid)) if cid[j] < 0
     ]
     times["walks"] = clock() - t
+    times["points"] = len(points)
+    times["rebuilt"] = 0 if table.elements is rows else len(table.elements)
     tested = [c for c in classes if not c.representative.is_identity()]
 
     t = clock()
@@ -111,6 +119,8 @@ def main(argv=None) -> int:
     runs = [one_run(group, args.first) for _ in range(args.repeat)]
     print(f"{args.spec}: order {group.order}, {runs[0]['classes']} classes, "
           f"{runs[0]['orbit reps']} orbit representatives; "
+          f"{runs[0]['points']} of {group.degree} row points, "
+          f"{runs[0]['rebuilt']} elements rebuilt by the class build; "
           f"best of {args.repeat}, first-k with k = {args.first}")
     for phase in PHASES:
         print(f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms")

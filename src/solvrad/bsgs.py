@@ -7,18 +7,19 @@ worth more than randomized speed.  All search orders are canonical
 (lexicographic on image arrays, sorted orbit points), so every derived
 object is identical across runs.
 
-Conjugation orbits are walked by base image: an element of a group is fixed
-by the images of the group's base points, and (s y s^-1)(b) = s(y(s^-1(b))),
-so a conjugate is identified from len(base) lookups before, or instead of,
-building its image array.  Conjugacy classes number the sorted enumerated
-group once (_Numbering): each group generator's conjugation action becomes
-an array of numbers, and the class walks run on the numbers, recording a
-class id, a parent and a generator per element instead of a conjugator.
-Conjugators, and a centralizer's Schreier generators, are read from those
-arrays on demand: every centralizer reads the walk of its element's class,
-so no orbit is walked twice.  Centralizer-orbit representatives are
-produced lazily, as far as a scan reads them, and counted by Burnside's
-lemma (_OrbitReps).
+An element of a group is fixed by the images of the group's base points,
+and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
+len(base) lookups before, or instead of, building its image array.
+Conjugacy classes number the sorted group once (_Numbering) from rows, the
+images of the few points that order the elements and key their conjugates,
+and rebuild an element's image array from its base image when it is read.
+Each group generator's conjugation action becomes an array of numbers, and
+the class walks run on the numbers, recording a class id, a parent and a
+generator per element instead of a conjugator.  Conjugators, and a
+centralizer's Schreier generators, are read from those arrays on demand:
+every centralizer reads the walk of its element's class, so no orbit is
+walked twice.  Centralizer-orbit representatives are produced lazily, as
+far as a scan reads them, and counted by Burnside's lemma (_OrbitReps).
 """
 
 from __future__ import annotations
@@ -454,18 +455,14 @@ def centralizer(
     return Bsgs._wrap(group.degree, chain, chain.strong_generators())
 
 
-def _base_image(e: tuple, base: Sequence[int]) -> tuple:
-    """The images of the base points under e, which fix e within its group."""
-    return tuple([e[b] for b in base])
-
-
-def _base_images(elements: Sequence[tuple], points: Sequence[int]) -> Iterable[tuple]:
-    """The images of `points` under each of the elements, as tuples.
-    itemgetter builds them in C, but returns a bare item for one index, so
-    fewer than two points take the plain lookups."""
+def _getter(points: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """e -> the tuple of e's items at `points`; at the base points, e's base
+    image, which fixes e within its group.  itemgetter builds it in C, but
+    returns a bare item for one index, so fewer than two points take the
+    plain lookups."""
     if len(points) > 1:
-        return map(itemgetter(*points), elements)
-    return [_base_image(e, points) for e in elements]
+        return itemgetter(*points)
+    return lambda e: tuple([e[p] for p in points])
 
 
 def _conjugate_keys(
@@ -473,11 +470,11 @@ def _conjugate_keys(
 ) -> list[Callable[[tuple], tuple]]:
     """For each s in gens, the function y -> base image of s y s^-1, which
     reads (s y s^-1)(b) = s(y(s^-1(b))) without building the conjugate.
-    The points s^-1(b) are found once per generator."""
-    return [_conjugate_key(s, _base_image(_inv(s), base)) for s in gens]
+    The points s^-1(b) = s.index(b) are found once per generator."""
+    return [_conjugate_key(s, [s.index(b) for b in base]) for s in gens]
 
 
-def _conjugate_key(s: tuple, pull: tuple) -> Callable[[tuple], tuple]:
+def _conjugate_key(s: tuple, pull: list) -> Callable[[tuple], tuple]:
     """y -> base image of s y s^-1, given pull, the base image of s^-1.
     itemgetter returns a bare item, not a tuple, for a single index, so a
     base of fewer than two points takes the plain lookups."""
@@ -493,7 +490,7 @@ def _conjugation_orbit(group: Bsgs, x: tuple) -> list[tuple]:
     of len(base) lookups and is built only when its key is new."""
     gens, base = group._gens_raw, group._chain.base
     steps = list(zip(gens, map(_inv, gens), _conjugate_keys(gens, base)))
-    seen = {_base_image(x, base)}
+    seen = {_getter(base)(x)}
     orbit = [x]
     frontier = [x]
     while frontier:
@@ -515,35 +512,43 @@ class _Numbering:
     orbit walks over it.  The numbered set is the whole group (the classes
     of `conjugacy_classes`) or one conjugation orbit (`class_of`).
 
-    Since the numbers follow the sorted order, a sorted list of numbers is
-    a sorted list of elements.  elements[j] is member j and pos maps a
-    member's base image to j.  actions[i][j] is the number of s_i e_j s_i^-1
-    for the i-th group generator s_i.  An orbit walk goes frontier by
-    frontier, generators in order, the first discovery winning; it gives
-    each member it reaches its orbit's id (`cid`), and, except at its root,
-    the member it came from (`parent`, -1 at a root) and the generator
-    (`via`): e_j = s e_parent s^-1 for s = s_via[j].  sizes[c] is the size
-    of orbit c.  The lists hold the int objects that are pos's values, or
-    small cached ints, so each costs one pointer per member.
+    The members come as sorted rows, their images of the sorted `points`:
+    every point, or the row points of the whole group (_row_points), when
+    order[j] is row j's place in _enumerate_raw.  pos maps a member's base
+    image, read from its row, to its number j, and actions[i][j] is the
+    number of s_i e_j s_i^-1, for the i-th group generator s_i, whose base
+    image s_i(e_j(s_i^-1(b))) is read from row j.  elements[j] is row j, or
+    when rows are not image tuples, member j rebuilt (_Rebuilt).  A sorted
+    list of numbers is a sorted list of members.  An orbit walk goes
+    frontier by frontier, generators in order, the first discovery winning;
+    it gives each member it reaches its orbit's id (`cid`), and, except at
+    its root, the member it came from (`parent`, -1 at a root) and the
+    generator (`via`): e_j = s e_parent s^-1 for s = s_via[j].  sizes[c] is
+    the size of orbit c.  The lists hold the int objects that are pos's
+    values, or small cached ints, so each costs one pointer per member.
     """
 
     __slots__ = ("group", "elements", "pos", "actions", "cid", "parent", "via", "sizes")
 
-    def __init__(self, group: Bsgs, elements: list[tuple]):
+    def __init__(
+        self, group: Bsgs, rows: list, points: Sequence, order: Optional[list] = None
+    ):
         self.group = group
-        self.elements = elements
-        n = len(elements)
+        n = len(rows)
         base = group._chain.base
-        self.pos = dict(zip(_base_images(elements, base), range(n)))
+        at = {p: k for k, p in enumerate(points)}  # a point's place in a row
+        at_base = _getter([at[b] for b in base])
+        self.pos = dict(zip(map(at_base, rows), range(n)))
         # (s e s^-1)(b) = s(e(s^-1(b))): each generator's conjugate keys are
-        # read in C, column by column, from the points s^-1(b)
+        # read in C, column by column, from the rows' places of s^-1(b)
         self.actions = []
         for s in group._gens_raw:
             columns = [
-                map(s.__getitem__, map(itemgetter(p), elements))
-                for p in _base_image(_inv(s), base)
+                map(s.__getitem__, map(itemgetter(at[s.index(b)]), rows))
+                for b in base
             ]
             self.actions.append(list(map(self.pos.__getitem__, zip(*columns))))
+        self.elements = rows if order is None else _Rebuilt(group, order)
         self.cid = [-1] * n
         self.parent = [-1] * n
         self.via = [0] * n
@@ -551,7 +556,7 @@ class _Numbering:
 
     def whole(self) -> bool:
         """Whether the numbered set is the whole group."""
-        return len(self.elements) == self.group.order
+        return len(self.cid) == self.group.order
 
     def walk(self, root: int) -> list[int]:
         """Walk the orbit of member `root`, which no walk has reached yet,
@@ -595,6 +600,36 @@ class _Numbering:
         return u
 
 
+class _Rebuilt(dict):
+    """Members of the whole group by number, each rebuilt on its first read
+    and kept: member j is element i = order[j] of _enumerate_raw, u v for
+    the first level's coset representative u at index i // |S| and element
+    v at index i % |S| of S, the first base point's stabilizer, enumerated
+    once.  `read` rebuilds a list of members in one pass, without a Python
+    call per member."""
+
+    __slots__ = ("_order", "_us", "_vs")
+
+    def __init__(self, group: Bsgs, order: list[int]):
+        super().__init__()
+        chain = group._chain
+        self._order = order
+        self._us = list(map(chain.transversals[0].__getitem__, chain.points[0]))
+        self._vs = list(map(_getter, _enumerate_raw(group, level=1)))  # v -> u v
+
+    def __missing__(self, j: int) -> tuple:
+        i, m = self._order[j], len(self._vs)
+        e = self[j] = self._vs[i % m](self._us[i // m])
+        return e
+
+    def read(self, js: Sequence[int]) -> list[tuple]:
+        us, vs, m = self._us, self._vs, len(self._vs)
+        new = [j for j in js if j not in self]
+        places = map(self._order.__getitem__, new)
+        self.update(zip(new, [vs[i % m](us[i // m]) for i in places]))
+        return list(map(self.__getitem__, js))
+
+
 class _OrbitReps:
     """The smallest member of each orbit of a group C conjugating a set of
     numbered members (a class, or a union of classes of the whole group),
@@ -619,7 +654,7 @@ class _OrbitReps:
         self._members = members
         self._cent = cent
         self.found: list[int] = []
-        self._walk = self._reps()
+        self._walk = _orbit_walk(table, members, cent)
         self._count: Optional[int] = None
 
     def __iter__(self) -> Iterator[int]:
@@ -634,29 +669,6 @@ class _OrbitReps:
             yield found[i]
             i += 1
 
-    def _reps(self) -> Iterator[int]:
-        table = self._table
-        els, pos = table.elements, table.pos
-        keys = _conjugate_keys(self._cent._gens_raw, table.group._chain.base)
-        seen: set[int] = set()
-        for e in self._members:
-            if e in seen:
-                continue
-            yield e
-            seen.add(e)
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    ey = els[y]
-                    for key in keys:
-                        z = pos[key(ey)]
-                        if z not in seen:
-                            seen.add(z)
-                            nxt.append(z)
-                frontier = nxt
-        assert len(seen) == len(self._members)
-
     @property
     def count(self) -> int:
         if self._count is None:
@@ -669,6 +681,32 @@ class _OrbitReps:
         return self._count
 
 
+def _orbit_walk(table: _Numbering, members: Sequence[int], cent: Bsgs) -> Iterator[int]:
+    """The stream of _OrbitReps, each orbit walked when the next
+    representative is asked for; a function, so that the generator's frame
+    holds no _OrbitReps, which holds the generator."""
+    els, pos = table.elements, table.pos
+    keys = _conjugate_keys(cent._gens_raw, table.group._chain.base)
+    seen: set[int] = set()
+    for e in members:
+        if e in seen:
+            continue
+        yield e
+        seen.add(e)
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                ey = els[y]
+                for key in keys:
+                    z = pos[key(ey)]
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+            frontier = nxt
+    assert len(seen) == len(members)
+
+
 def _burnside_count(table: _Numbering, cent: Bsgs) -> int:
     """The number of C-orbits on the class K of g, for C = C_G(g) and a
     numbering of the whole group G, by Burnside's lemma.  An element c of a
@@ -677,7 +715,7 @@ def _burnside_count(table: _Numbering, cent: Bsgs) -> int:
     (1/|C|) sum over c in C of that = (|G|/|C|^2) sum over L of |L n C|^2 / |L|.
     |L n C| is read from the class ids of C's enumerated elements, and
     |G|/|L| is an integer."""
-    keys = _base_images(_enumerate_raw(cent), table.group._chain.base)
+    keys = _enumerate_raw(cent, table.group._chain.base)
     hits = Counter(map(table.cid.__getitem__, map(table.pos.__getitem__, keys)))
     order = table.group.order
     total = sum(m * m * (order // table.sizes[c]) for c, m in hits.items())
@@ -725,7 +763,10 @@ class ConjugacyClass:
 
     @property
     def _elements_raw(self) -> list[tuple]:
-        return list(map(self._table.elements.__getitem__, self._members))
+        els = self._table.elements
+        if isinstance(els, _Rebuilt):
+            return els.read(self._members)  # in one pass
+        return list(map(els.__getitem__, self._members))
 
     @property
     def centralizer(self) -> Bsgs:
@@ -759,7 +800,7 @@ class ConjugacyClass:
         table = self._table
         j = None
         if h.degree == self.degree:
-            j = table.pos.get(_base_image(h._img, table.group._chain.base))
+            j = table.pos.get(_getter(table.group._chain.base)(h._img))
         if (
             j is None
             or table.elements[j] != h._img
@@ -785,7 +826,9 @@ def conjugacy_classes(
     numbered once (see _Numbering) and the classes are its orbit walks,
     each started at its smallest member, which no earlier walk reached."""
     _check_element_cap(group.order, element_cap)
-    table = _Numbering(group, sorted(_enumerate_raw(group)))
+    points = _row_points(group)
+    rows, order = _sorted_rows(_enumerate_raw(group, points), points, group.degree)
+    table = _Numbering(group, rows, points, order)
     cid = table.cid
     classes = [
         ConjugacyClass(table, table.walk(j), j)
@@ -793,6 +836,35 @@ def conjugacy_classes(
     ]
     assert sum(c.class_size for c in classes) == group.order
     return classes
+
+
+def _sorted_rows(
+    rows: list, points: Sequence, degree: int
+) -> tuple[list, Optional[list]]:
+    """The rows sorted, which numbers their members, and, for rows that are
+    not image tuples, the sorted rows' places in `rows`, from which
+    _Rebuilt rebuilds the members."""
+    if len(points) == degree:
+        rows.sort()
+        return rows, None
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return list(map(rows.__getitem__, order)), order
+
+
+def _row_points(group: Bsgs) -> Sequence[int]:
+    """The sorted points whose images number the group (see _Numbering):
+    0..max(base), where any two members first differ, since they differ at
+    a base point, and each s^-1(b), which the conjugation action of a group
+    generator s reads at a base point b.  Every point instead for the
+    trivial group, which has no base, and where those are more than half the
+    points: such rows save less than rebuilding members from them costs, the
+    enumeration order kept and a call per member read."""
+    base = group._chain.base
+    points = set(range(max(base, default=-1) + 1))
+    points.update(s.index(b) for s in group._gens_raw for b in base)
+    if not base or 2 * len(points) > group.degree:
+        return range(group.degree)
+    return sorted(points)
 
 
 def _check_element_cap(order: int, element_cap: int) -> None:
@@ -811,8 +883,9 @@ def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
     its conjugation orbit, numbered alone and walked from g."""
     if not group.contains(g):
         raise MembershipError(f"{g!r} is not a member of the group")
-    table = _Numbering(group, sorted(_conjugation_orbit(group, g._img)))
-    root = table.pos[_base_image(g._img, group._chain.base)]
+    orbit = sorted(_conjugation_orbit(group, g._img))
+    table = _Numbering(group, orbit, range(group.degree))
+    root = table.pos[_getter(group._chain.base)(g._img)]
     return ConjugacyClass(table, table.walk(root), root)
 
 
@@ -879,19 +952,22 @@ def enumerate_elements(
         yield Permutation._from_raw(g)
 
 
-def _enumerate_raw(group: Bsgs) -> list[tuple]:
-    """Every element as a transversal product u_0 u_1 ... u_k, ordered by
-    the indices of the u_i among their levels' sorted orbit points, the
-    first level varying slowest.  The products are built from the last level
-    up, so the longest list held besides the result has |G| / |orbit 0|
-    entries."""
+def _enumerate_raw(
+    group: Bsgs, points: Optional[Sequence[int]] = None, level: int = 0
+) -> list[tuple]:
+    """The images of `points` (every point when None, so the elements
+    themselves) under every element u_l ... u_k of the stabilizer of the
+    first l = `level` base points, a transversal product, ordered by the
+    indices of the u_i among their levels' sorted orbit points, the first
+    level varying slowest.  The rows are built from the last level up, from
+    the identity's row, so the longest list held besides the result has
+    |G| / |orbit 0| entries."""
     chain = group._chain
-    products = [_identity(group.degree)]
-    if group.degree == 1:
-        return products  # itemgetter of one index returns a bare int
-    for t, pts in zip(reversed(chain.transversals), reversed(chain.points)):
-        # u p is itemgetter(*p)(u): one getter per lower product, in C
+    products = [tuple(range(group.degree) if points is None else points)]
+    levels = zip(chain.transversals[level:], chain.points[level:])
+    for t, pts in reversed(list(levels)):
+        # u p is u read at p's points: one getter per lower row, in C
         us = [t[pt] for pt in pts]
-        getters = [itemgetter(*p) for p in products]
+        getters = list(map(_getter, products))
         products = [get(u) for u in us for get in getters]
     return products

@@ -12,7 +12,15 @@ equality, and so must the centralizer and orbit representatives that each
 class keeps.  Every prefix a stream produces is the reference's prefix of
 that length, and its count, taken before any representative is read, is the
 length of the completed walk.
+
+The class table numbers the group from rows, each element's images of a
+few points, and rebuilds an element from its row when it is read.  Its
+numbering must equal the full-tuple numbering of sorted(_enumerate_raw(G))
+in every array, and every rebuilt element the full tuple it stands for.
 """
+
+import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +30,12 @@ from solvrad.bsgs import (
     GeneratorSet,
     MembershipError,
     _Chain,
+    _Numbering,
     _OrbitReps,
+    _Rebuilt,
+    _enumerate_raw,
+    _row_points,
+    _sorted_rows,
     build_bsgs,
     centralizer,
     class_of,
@@ -32,6 +45,7 @@ from solvrad.bsgs import (
 )
 from solvrad.criteria import reduced_conjugate_orbit
 from solvrad.perm import Permutation, _identity, _inv, _mul
+from solvrad.zoo import construct
 
 SPECS = ["S(4)", "S(5)", "A(5)", "D(6)", "PSL2(7)", "direct(C(5),A(5))"]
 
@@ -320,3 +334,148 @@ def test_random_groups_match_reference(gens):
     classes = conjugacy_classes(group)
     check_group(group, classes)
     check_class_of_non_representatives(group, classes)
+
+
+def row_points(group):
+    """The row points by their definition, also where conjugacy_classes
+    takes every point instead."""
+    base = group._chain.base
+    points = set(range(max(base) + 1))
+    points.update(s.index(b) for s in group._gens_raw for b in base)
+    return sorted(points)
+
+
+def numbered(group, points):
+    """The whole group numbered from its rows on `points` as
+    conjugacy_classes numbers it, and walked class by class."""
+    rows, order = _sorted_rows(_enumerate_raw(group, points), points, group.degree)
+    table = _Numbering(group, rows, points, order)
+    for j in range(len(rows)):
+        if table.cid[j] < 0:
+            table.walk(j)
+    return table
+
+
+def assert_numbering_matches(group, table, points):
+    """Every array of `table` against the full-tuple numbering, each
+    element read one at a time, then, on a fresh numbering from the same
+    rows, a few singly and the rest in one pass."""
+    elements = sorted(_enumerate_raw(group))
+    ref = numbered(group, range(group.degree))
+    assert ref.elements == elements
+    n = len(elements)
+    assert [table.elements[j] for j in range(n)] == elements
+    assert table.pos == ref.pos
+    assert table.actions == ref.actions
+    assert table.cid == ref.cid
+    assert table.parent == ref.parent
+    assert table.via == ref.via
+    assert table.sizes == ref.sizes
+    fresh = numbered(group, points).elements
+    if isinstance(fresh, _Rebuilt):
+        singles = [n - 1, 0, n // 2]
+        assert [fresh[j] for j in singles] == [elements[j] for j in singles]
+        js = [*range(n - 1, -1, -1), 0]
+        assert fresh.read(js) == [elements[j] for j in js]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(1, n + 1))).map(Permutation),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_row_numbering_of_random_groups(gens):
+    group = build_bsgs(GeneratorSet(gens[0].degree, gens))
+    if group.order == 1:
+        return  # no base point, so no row points: covered by the next test
+    points = row_points(group)
+    assert_numbering_matches(group, numbered(group, points), points)
+
+
+def relabelled(spec, seed):
+    """The group of `spec` with its points renamed by a seeded permutation,
+    which moves its base."""
+    gens = construct(spec)
+    images = list(range(1, gens.degree + 1))
+    random.Random(seed).shuffle(images)
+    sigma = Permutation(images)
+    return GeneratorSet(
+        gens.degree, [sigma * g * sigma.inverse() for g in gens.generators]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, seed, rows",
+    [
+        ("file:sz8.json", None, 6),
+        ("file:sz8.json", 1, 9),
+        ("PSL2(31)", None, 6),
+        ("direct(PSL2(31),C(2))", None, 34),  # a base point at 32: every point
+        ("C(1)", None, 1),  # the trivial group: every point
+        ("C(2)", None, 2),
+        ("PSL2(7)", None, 8),
+    ],
+)
+def test_class_table_numbering_matches_full_tuples(spec, seed, rows):
+    gens = construct(spec) if seed is None else relabelled(spec, seed)
+    group = build_bsgs(gens)
+    points = _row_points(group)
+    assert len(points) == rows
+    table = conjugacy_classes(group)[0]._table
+    assert isinstance(table.elements, _Rebuilt) == (rows < group.degree)
+    assert_numbering_matches(group, table, points)
+
+
+def regular_s3():
+    """S(3) acting on itself by left multiplication: a one-point base, so
+    the base images are one-point rows."""
+    elements = sorted(p._img for p in enumerate_elements(build_bsgs(construct("S(3)"))))
+    place = {e: i for i, e in enumerate(elements)}
+    gens = [
+        Permutation._from_raw(tuple(place[_mul(s, e)] for e in elements))
+        for s in elements[1:3]
+    ]
+    return build_bsgs(GeneratorSet(6, gens))
+
+
+def test_one_point_rows():
+    group = regular_s3()
+    assert group.order == 6 and len(group._chain.base) == 1
+    elements = _enumerate_raw(group)
+    for p in range(6):
+        assert _enumerate_raw(group, [p]) == [(e[p],) for e in elements]
+    points = row_points(group)
+    assert len(points) < group.degree
+    assert_numbering_matches(group, numbered(group, points), points)
+    # C_G(g) is smaller than the class of a transposition, so the orbits on
+    # it are counted by Burnside's lemma from one-point base images
+    check_group(group, conjugacy_classes(group))
+    check_streams(group, conjugacy_classes(group))
+
+
+@pytest.mark.parametrize("spec", ["PSL2(7)", "direct(C(5),A(5))", "PSL2(13)"])
+def test_partly_read_streams_leave_no_numbering_alive(spec, group_of):
+    """A stream read only in part holds a suspended walk; freed by reference
+    counting with its class, it must not keep the class table alive."""
+
+    def numberings():
+        return sum(isinstance(o, _Numbering) for o in gc.get_objects())
+
+    group = group_of(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        before = numberings()
+        classes = conjugacy_classes(group)
+        for cls in classes:
+            next(iter(cls.orbit_reps))
+            assert cls.orbit_reps.count >= 1
+        del classes, cls
+        assert numberings() == before
+    finally:
+        gc.enable()
