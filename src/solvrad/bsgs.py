@@ -55,9 +55,12 @@ class GeneratorSet:
     `order` is the order of the generated group when the constructor knows
     it: the named families of `zoo` without a build, a group file from the
     order it checked against its claimed_order.  Otherwise it is None.
+    `built` is the group those generators make when a constructor has
+    already built it, as a group file is to check its claimed_order, and
+    `build_bsgs` hands it on; otherwise it is None.
     """
 
-    __slots__ = ("degree", "generators", "order")
+    __slots__ = ("degree", "generators", "order", "built")
 
     def __init__(
         self,
@@ -78,6 +81,7 @@ class GeneratorSet:
         self.degree = degree
         self.generators = gens
         self.order = order
+        self.built = None
 
     def __repr__(self) -> str:
         return f"GeneratorSet(degree={self.degree}, n_gens={len(self.generators)})"
@@ -273,22 +277,27 @@ class Bsgs:
     """Immutable base / strong generating set handle on a permutation group.
 
     Built once, then safe to share: queries never change the group, and the
-    only state they add is the draw tables of `random_element`, built on
-    the first draw.
+    only state they add is filled on first use and never changes: the draw
+    tables of `random_element`, built on the first draw, and the verdicts
+    of `structure.is_solvable` and `is_nilpotent` (`_solvable`,
+    `_nilpotent`), each computed on the first question.
 
     `bound`, when given, must be a proven upper bound on the order of the
     generated group, such as the order of a group that contains every
     generator; Schreier-Sims then stops once it reaches it (see _Chain).
     """
 
-    __slots__ = ("degree", "_chain", "_gens_raw", "_order", "_draw_blocks")
+    __slots__ = (
+        "degree", "_chain", "_gens_raw", "_order", "_draw_blocks", "_solvable",
+        "_nilpotent",
+    )
 
     def __init__(self, gens: GeneratorSet, bound: Optional[int] = None):
         self.degree = gens.degree
         self._gens_raw = [g._img for g in gens.generators]
         self._chain = _Chain(gens.degree, self._gens_raw, bound)
         self._order = self._chain.order()
-        self._draw_blocks = None
+        self._draw_blocks = self._solvable = self._nilpotent = None
 
     @classmethod
     def _wrap(cls, degree: int, chain: _Chain, defining_raw: list[tuple]) -> "Bsgs":
@@ -298,7 +307,7 @@ class Bsgs:
         group._chain = chain
         group._gens_raw = defining_raw
         group._order = chain.order()
-        group._draw_blocks = None
+        group._draw_blocks = group._solvable = group._nilpotent = None
         return group
 
     @property
@@ -346,8 +355,9 @@ class Bsgs:
 
 
 def build_bsgs(gens: GeneratorSet) -> Bsgs:
-    """Deterministic Schreier-Sims; order and membership are exact."""
-    return Bsgs(gens)
+    """Deterministic Schreier-Sims; order and membership are exact.  A
+    generator set that a constructor has built already gives that build."""
+    return gens.built or Bsgs(gens)
 
 
 def contains(group: Bsgs, p: Permutation) -> bool:

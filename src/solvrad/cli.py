@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -97,8 +97,13 @@ class VerificationReport:
     timing_ms: float = 0.0
     details: dict = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        """The fields by name.  They hold only plain JSON values, so they
+        are shared, not copied as `dataclasses.asdict` would copy them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -144,7 +149,10 @@ class GroupContext:
     """The group of one (spec, element cap), its classes, and, on first use,
     its radical oracles and derived series, each computed once.  A group
     whose order the spec gives, a named family or a file with a
-    claimed_order, is refused past the cap before it is built."""
+    claimed_order, is refused past the cap before it is built; a file group
+    built to check its claimed_order is that build, not a second one.  The
+    group keeps its own solvability and nilpotency verdicts, so the oracles
+    and every entry's scans share them."""
 
     def __init__(self, spec: str, element_cap: int):
         self.spec = spec
@@ -343,7 +351,7 @@ def cmd_suite(
         if seed is not None:
             flags["seed"] = seed
         code, rep = _run_entry(entry["command"], entry.get("spec"), flags, built)
-        sub_reports.append({"exit_code": code, "report": asdict(rep)})
+        sub_reports.append({"exit_code": code, "report": rep.as_dict()})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
     report = VerificationReport(

@@ -72,6 +72,7 @@ from .structure import (
     FITTING,
     SOLVABLE_RADICAL,
     RadicalResult,
+    _whole_or,
     is_nilpotent,
     is_solvable,
 )
@@ -308,7 +309,8 @@ def _first_failure(
     candidate's index and the subgroup built for it; None if every one
     passes.  `candidates` may be any iterable, and is consumed no further
     than the failing tuple.  g and the conjugates are members of `group`,
-    whose order bounds each build.
+    whose order bounds each build; a build that reaches it is the group,
+    and takes the group's own verdict, computed once per group.
 
     The predicate must pass to subgroups (solvable, nilpotent) and hold on
     abelian groups: a tuple or prefix of powers of g, one inside an already
@@ -382,9 +384,10 @@ def _scan_prefix(group, cover, predicate, level, depth, hs, mask, lives):
 def _build(group, cover, predicate, hs, mask, lives):
     """Build <g, *hs>, whose conjugates' bits make `mask`: (hs, the
     subgroup) if it fails the predicate, else None once it is in the cover
-    and in each of the live lists."""
+    and in each of the live lists.  A build of the group's order is the
+    group, so the predicate asks `group`, whose verdict is computed once."""
     sub = _span(group, [cover._g, *hs])
-    if not predicate(sub):
+    if not predicate(_whole_or(group, sub)):
         return hs, sub
     k = cover.add(sub, mask)
     for live in lives:
@@ -422,7 +425,8 @@ def _class_scan(
         _, hs, sub = failure
         xs = [_conjugator_to(cls, g, Permutation._from_raw(h)) for h in hs]
         # only a nilpotency failure can still be solvable
-        witness = _witness_for(sub, xs, nilpotent and is_solvable(sub))
+        solvable = nilpotent and is_solvable(_whole_or(group, sub))
+        witness = _witness_for(sub, xs, solvable)
     return CriterionVerdict(
         element=g,
         in_radical_claimed=witness is None,

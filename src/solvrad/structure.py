@@ -12,6 +12,11 @@ series (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
 Burnside's p^a q^b theorem a group whose order has at most two prime
 divisors is solvable, and a group of prime-power order is nilpotent.  The
 series functions always compute every term.
+
+Each group keeps its predicate verdicts (`Bsgs._solvable`, `_nilpotent`),
+so a predicate computes once per group object.  A subgroup of a group's
+order is the group, so where a build may come out whole the caller asks
+the group itself (`_whole_or`), and every such build shares its verdict.
 """
 
 from __future__ import annotations
@@ -91,14 +96,26 @@ def _prime_divisors(h: Bsgs) -> set[int]:
     return primes
 
 
+def _whole_or(group: Bsgs, sub: Bsgs) -> Bsgs:
+    """`sub`, a subgroup of `group`, or `group` itself when sub has its
+    order, so that a predicate asked about sub reads the group's verdict."""
+    return group if sub.order == group.order else sub
+
+
 def is_solvable(h: Bsgs) -> bool:
-    """Whether H is solvable.
+    """Whether H is solvable, computed once per group object.
 
     H is solvable iff [H, H] is, so walk the derived series only until a
     term's order has at most two prime divisors, which is solvable by
     Burnside's p^a q^b theorem, or a nontrivial term is perfect, which is
     not.  `derived_series` still computes every term for reports.
     """
+    if h._solvable is None:
+        h._solvable = _solvable_by_series(h)
+    return h._solvable
+
+
+def _solvable_by_series(h: Bsgs) -> bool:
     while len(_prime_divisors(h)) > 2:
         d = derived_subgroup(h)
         if d.order == h.order:
@@ -129,11 +146,15 @@ def lower_central_series(h: Bsgs) -> SeriesResult:
 
 
 def is_nilpotent(h: Bsgs) -> bool:
-    """Whether H is nilpotent: a group of prime-power order is, and
-    otherwise its lower central series must reach 1.  The order test is
-    made on H alone, never on a lower-central term: S(3)'s gamma_2 is C(3),
-    yet S(3) is not nilpotent."""
-    return len(_prime_divisors(h)) <= 1 or lower_central_series(h).terminated
+    """Whether H is nilpotent, computed once per group object: a group of
+    prime-power order is, and otherwise its lower central series must
+    reach 1.  The order test is made on H alone, never on a lower-central
+    term: S(3)'s gamma_2 is C(3), yet S(3) is not nilpotent."""
+    if h._nilpotent is None:
+        h._nilpotent = (
+            len(_prime_divisors(h)) <= 1 or lower_central_series(h).terminated
+        )
+    return h._nilpotent
 
 
 def solvable_radical_oracle(
@@ -151,22 +172,13 @@ def fitting_oracle(group: Bsgs, classes: list[ConjugacyClass]) -> RadicalResult:
 
 def _radical_oracle(group, classes, predicate, kind) -> RadicalResult:
     """A normal closure with the group's order is the group itself, so the
-    predicate runs on `group`, from its own generators, at most once."""
+    predicate asks `group`, whose verdict the scans on it share."""
     member_reps = []
-    whole: Optional[bool] = None  # predicate(group), once it is needed
     for cls in classes:
         rep = cls.representative
-        if rep.is_identity():
-            member_reps.append(rep)
-            continue
-        closure = normal_closure(group, [rep])
-        if closure.order == group.order:
-            if whole is None:
-                whole = predicate(group)
-            passes = whole
-        else:
-            passes = predicate(closure)
-        if passes:
+        if rep.is_identity() or predicate(
+            _whole_or(group, normal_closure(group, [rep]))
+        ):
             member_reps.append(rep)
     subgroup = normal_closure(group, member_reps)
     return RadicalResult(

@@ -10,8 +10,9 @@ package (so file:sz8.json always works).
 The family constructors, and direct products of them, set the order of
 the generated group on the GeneratorSet they return, so a caller can
 refuse a group past its element cap before building it.  A file: spec sets
-it to the order it checked against the file's claimed_order, and leaves it
-None when the file claims none.
+it to the order it checked against the file's claimed_order, and hands on
+the group it built for that check; it leaves both None when the file claims
+none.  A direct product is always built as the product.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class GroupFile:
 def load_group_file(path: str) -> tuple[GeneratorSet, GroupFile]:
     """Parse a JSON generator file and, when claimed_order is present,
     verify it against the computed group order (mismatch is a hard error)
-    and set it as the returned GeneratorSet's order."""
+    and set it as the returned GeneratorSet's order, and the group built to
+    check it as its `built`, so `build_bsgs` does not build it again."""
     source = _resolve_file(path)
     try:
         doc = json.loads(source.read_text())
@@ -148,7 +150,8 @@ def load_group_file(path: str) -> tuple[GeneratorSet, GroupFile]:
         raise GroupFileError(f"bad generator in {path}: {e}") from e
     gens = GeneratorSet(meta.degree, perms)
     if meta.claimed_order is not None:
-        gens.order = build_bsgs(gens).order
+        gens.built = build_bsgs(gens)
+        gens.order = gens.built.order
         if gens.order != meta.claimed_order:
             raise GroupFileError(
                 f"order mismatch in {path}: claimed {meta.claimed_order}, "

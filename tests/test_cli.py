@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from solvrad.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    GroupContext,
     VerificationReport,
+    cmd_suite,
     main,
 )
 from solvrad.perm import parse_cycles
@@ -120,6 +123,22 @@ class TestInfo:
         assert code == EXIT_BUDGET
         assert rep["details"]["error"] == str(built.value)
 
+
+    @pytest.mark.parametrize("spec, order", [("file:sz8.json", 29120), ("S(6)", 720)])
+    def test_a_context_builds_its_group_once(self, monkeypatch, spec, order):
+        # a file with a claimed_order is built to check it, and that build
+        # is the context's group
+        made = []
+        init = solvrad.bsgs.Bsgs.__init__
+
+        def counted(self, gens, bound=None):
+            made.append(bound)
+            init(self, gens, bound)
+
+        monkeypatch.setattr(solvrad.bsgs.Bsgs, "__init__", counted)
+        ctx = GroupContext(spec, 200_000)
+        assert made == [None]
+        assert ctx.group.order == order
 
     @pytest.mark.parametrize(
         "argv, cap",
@@ -277,6 +296,14 @@ class TestReports:
         text = json.dumps(rep, sort_keys=True, indent=2)
         again = VerificationReport.from_json(text)
         assert json.loads(again.to_json()) == rep
+
+    def test_suite_json_equals_the_deep_copied_json(self, capsys):
+        # the shallow field dict serializes as dataclasses.asdict's copy did
+        _, rep = cmd_suite(str(BATTERY))
+        text = rep.to_json()
+        assert text == json.dumps(asdict(rep), sort_keys=True, indent=2)
+        assert VerificationReport.from_json(text).to_json() == text
+        assert VerificationReport.from_json(text) == rep
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out = tmp_path / "report.json"

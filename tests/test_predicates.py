@@ -9,15 +9,31 @@ hypothesis-drawn groups against `tests/bruteforce.py`, which never touches
 the stabilizer-chain engine.  The scan test checks every subgroup an
 exhaustive criterion scan asks about against the full series, on groups
 whose orders have three prime divisors, where the predicates still compute.
+
+Each group keeps its predicate verdicts, and a build of a group's order
+asks the group itself.  The context test checks that one `GroupContext`
+then runs each predicate's series at most once on a group of its order,
+across its oracles and the scans of `bs`, `four` and `two`; the property
+test checks a kept verdict against a fresh one on an equal rebuilt group.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from solvrad import criteria
-from solvrad.bsgs import GeneratorSet, build_bsgs, conjugacy_classes, enumerate_elements
+from solvrad import criteria, structure
+from solvrad.bsgs import (
+    Bsgs,
+    DEFAULT_ELEMENT_CAP,
+    GeneratorSet,
+    build_bsgs,
+    conjugacy_classes,
+    enumerate_elements,
+)
+from solvrad.cli import EXIT_OK, GroupContext, cmd_verify
 from solvrad.criteria import (
     baer_suzuki_set,
     four_conjugate_radical,
@@ -25,6 +41,7 @@ from solvrad.criteria import (
 )
 from solvrad.perm import Permutation
 from solvrad.structure import (
+    _whole_or,
     derived_series,
     fitting_oracle,
     is_nilpotent,
@@ -41,16 +58,18 @@ def elements_of(g):
     return {p.images for p in enumerate_elements(g)}
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=7).flatmap(
-        lambda n: st.lists(
-            st.permutations(list(range(1, n + 1))).map(Permutation),
-            min_size=1,
-            max_size=3,
-        )
+# one to three generators of one degree from 1 to 7
+generator_lists = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(1, n + 1))).map(Permutation),
+        min_size=1,
+        max_size=3,
     )
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_lists)
 def test_predicates_series_and_radicals_match_brute_force(gens):
     degree = gens[0].degree
     raw = [p.images for p in gens]
@@ -119,3 +138,57 @@ def test_scan_subgroups_get_the_full_series_answer(spec, computed_answers,
     four_conjugate_radical(group, classes, tuple_budget=10**12)
     computed = {a for n, a in asked if len(bf.prime_divisors(n)) > 2}
     assert computed == computed_answers
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_lists)
+def test_a_kept_verdict_equals_a_fresh_one_on_a_rebuilt_group(gens):
+    degree = gens[0].degree
+    group = build_bsgs(GeneratorSet(degree, gens))
+    first = (is_solvable(group), is_nilpotent(group))
+    assert (group._solvable, group._nilpotent) == first
+    # asked again, the group answers from its verdicts
+    assert (is_solvable(group), is_nilpotent(group)) == first
+    # the same group, built from the generators in another order, has no
+    # verdicts yet and computes them afresh
+    rebuilt = build_bsgs(GeneratorSet(degree, gens[::-1]))
+    assert rebuilt.order == group.order
+    assert rebuilt._solvable is rebuilt._nilpotent is None
+    assert (is_solvable(rebuilt), is_nilpotent(rebuilt)) == first
+    assert first == (
+        derived_series(group).terminated, lower_central_series(group).terminated
+    )
+    # a bounded build of the group's order hands the question to the group
+    whole = Bsgs(GeneratorSet(degree, gens[::-1]), group.order)
+    assert _whole_or(group, whole) is group
+
+
+# each nonsolvable: every class has some <g, xgx^-1, ...> that is the whole
+# group, and the solvable-radical oracle's normal closures are whole too
+CONTEXT_SPECS = ["A(5)", "PSL2(7)", "direct(C(5),A(5))", "S(5)"]
+
+
+@pytest.mark.parametrize("spec", CONTEXT_SPECS)
+def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
+    ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
+    asked = Counter()  # (series, order of the group it was asked about)
+
+    def recorded(name):
+        series = getattr(structure, name)
+
+        def wrapper(h):
+            asked[name, h.order] += 1
+            return series(h)
+
+        monkeypatch.setattr(structure, name, wrapper)
+
+    recorded("derived_subgroup")
+    recorded("lower_central_series")
+    for theorem in ("bs", "four", "two"):
+        code, _ = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)
+        assert code == EXIT_OK
+    assert ctx.solvable_radical.subgroup.order < ctx.group.order
+    assert ctx.fitting_radical.subgroup.order < ctx.group.order
+    order = ctx.group.order
+    assert asked["derived_subgroup", order] == 1
+    assert asked["lower_central_series", order] == 1

@@ -10,8 +10,11 @@ representative, element) pair.  Verdicts, witnesses (conjugators and
 generated order) and counters must agree, no cover group may sift the
 same conjugate twice, no scan may build a tuple that a passing group it
 built earlier contains, and no scan may leave a reference cycle for the
-collector.  The sharpness check builds one triple of
-transpositions per graph shape; its reference builds them all.
+collector.  A build of the group's order asks the group itself, whose
+verdicts are computed once; on the nonsolvable groups, where many builds
+are the whole group, the scans must still agree with the references, which
+build and ask every subgroup afresh.  The sharpness check builds one triple
+of transpositions per graph shape; its reference builds them all.
 """
 
 import gc
@@ -52,6 +55,7 @@ from solvrad.criteria import (
     two_conjugate_test,
 )
 from solvrad.perm import Permutation, _inv, _mul, is_prime, parse_cycles
+from solvrad.zoo import construct
 from solvrad.structure import is_nilpotent, is_solvable
 
 # D4 x S3 (15 classes) and S4 x C2 (10) are solvable, so Thompson's test
@@ -247,6 +251,41 @@ def check_group_scans(group, classes, four_space_limit=None):
 def test_pruned_scans_match_reference(spec, group_of, classes_of):
     check_class_scans(group_of(spec), classes_of(spec))
     check_group_scans(group_of(spec), classes_of(spec))
+
+
+@pytest.mark.parametrize("spec", ["S(5)", "A(5)", "direct(C(5),A(5))", "PSL2(7)"])
+def test_scans_asking_the_whole_group_match_reference(spec, monkeypatch):
+    # a fresh group, so its verdicts are first computed inside the scans
+    group = build_bsgs(construct(spec))
+    classes = conjugacy_classes(group)
+    whole = []  # per predicate call: whether it asked the group itself
+    for name in ("is_solvable", "is_nilpotent"):
+        predicate = getattr(solvrad.criteria, name)
+
+        def asked(h, predicate=predicate):
+            whole.append(h is group)
+            return predicate(h)
+
+        monkeypatch.setattr(solvrad.criteria, name, asked)
+    check_class_scans(group, classes)
+    check_group_scans(group, classes)
+    assert any(whole) and not all(whole)
+
+
+@pytest.mark.parametrize("spec", ["S(3)", "S(4)"])
+def test_a_nilpotency_failure_on_the_whole_solvable_group_is_solvable(spec):
+    # S(4)'s 4-cycles and S(3)'s transpositions each fail with a pair that
+    # generates the whole group: its nilpotency verdict is kept first, and
+    # the witness then asks its solvability
+    group = build_bsgs(construct(spec))
+    witnesses = [
+        v.witness
+        for v in baer_suzuki_set(group, conjugacy_classes(group)).verdicts
+        if v.witness is not None and v.witness.generated_order == group.order
+    ]
+    assert witnesses
+    assert all(w.solvable and not w.nilpotent for w in witnesses)
+    assert (group._solvable, group._nilpotent) == (True, False)
 
 
 @pytest.mark.parametrize("spec", ["A(5)", "S(5)", "PSL2(7)"])

@@ -185,11 +185,22 @@ class TestGroupFiles:
         with pytest.raises(GroupFileError, match="order mismatch"):
             load_group_file(write_file(tmp_path, s4_doc(claimed_order=100)))
 
+    def test_the_checked_build_is_handed_on(self, tmp_path):
+        path = write_file(tmp_path, s4_doc())
+        gens = construct(f"file:{path}")
+        assert gens.built is not None and gens.built.order == 24
+        assert build_bsgs(gens) is gens.built
+        # a product with a file factor is built as the product
+        product = construct(f"direct(file:{path}, C(3))")
+        assert product.built is None
+        assert build_bsgs(product).order == product.order == 72
+
     def test_claimed_order_optional(self, tmp_path):
         doc = s4_doc()
         del doc["claimed_order"]
         gens, meta = load_group_file(write_file(tmp_path, doc))
         assert meta.claimed_order is None
+        assert gens.built is None
         assert build_bsgs(gens).order == 24
 
     def test_unsupported_format_version(self, tmp_path):
