@@ -284,8 +284,10 @@ def cmd_verify(
         if len(result.verdicts) < len(ctx.classes):
             details["tested_class_reps"] = len(result.verdicts)
     else:
+        # a nonsolvable group's series ends at its perfect core; read before
+        # the scan, it leaves the group's solvability verdict for the scan
+        series = ctx.series
         holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](ctx, budget)
-        series = ctx.series  # a nonsolvable group's ends at its perfect core
         solvable = series.terminated
         per_element = []
         comparison = {

@@ -26,8 +26,10 @@ order: each prefix gets the same checks as a whole tuple, and a failing
 prefix fails with every completion, so it is reported with its first.
 Every skipped candidate really passes, so the first failure in canonical
 order, its witness and the logical counters are those of the unpruned
-scan.  A randomized search still makes every RNG draw, in the same order,
-so its samples, witnesses and counters are unchanged too.
+scan.  A randomized search reads every sample of its seeded stream of
+draws, in order, so its witnesses and counters are those of building every
+sample.  The classes of one randomized radical run share one stream, each
+sample drawn once: every class reads the samples it would draw alone.
 
 The Thompson test uses the same lemma as the others: <r, y> and
 <r, cyc^-1> are conjugate for c in C_G(r), so its second element is
@@ -90,10 +92,14 @@ class BudgetExceededError(RuntimeError):
 
 def _budget_or_default(budget: Optional[int], mode: str) -> int:
     """`budget`, or when it is None the default of `mode`: a tuple budget
-    for an exhaustive scan, a sample count for a randomized search."""
-    if budget is not None:
-        return budget
-    return DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
+    for an exhaustive scan, a sample count for a randomized search.  A
+    budget below 1 is refused: a search that draws nothing, or a scan that
+    may check nothing, decides nothing."""
+    if budget is None:
+        return DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    return budget
 
 
 @dataclass
@@ -436,22 +442,44 @@ def _class_scan(
     )
 
 
+class _Draws:
+    """The `random_element` draws of one seeded stream, as raw image tuples,
+    drawn when first read and then kept.  Sample i of k conjugators is
+    draws k*i ... k*i + k - 1, which is what k draws at a time from a fresh
+    random.Random(rng_seed) give, so searches that share the stream read
+    the samples each would draw alone, and each draw is made once."""
+
+    __slots__ = ("_group", "_rng", "_raws")
+
+    def __init__(self, group: Bsgs, rng_seed: int):
+        self._group = group
+        self._rng = random.Random(rng_seed)
+        self._raws: list[tuple] = []
+
+    def sample(self, i: int, k: int) -> list[tuple]:
+        stop = k * (i + 1)
+        raws = self._raws
+        while len(raws) < stop:
+            raws.append(random_element(self._group, self._rng)._img)
+        return raws[stop - k:stop]
+
+
 def _random_search(
-    group: Bsgs, g: Permutation, k: int, budget: int, rng_seed: int
+    group: Bsgs, g: Permutation, k: int, budget: int, draws: _Draws
 ) -> CriterionVerdict:
-    """Randomized verdict: sample k conjugators at a time, up to `budget`
-    samples, and report the first sample whose
+    """Randomized verdict: read samples of k conjugators from `draws`, up to
+    `budget` samples, and report the first sample whose
     <g, x1 g x1^-1, ..., xk g xk^-1> is nonsolvable.
 
     The samples feed the scan kernel, so a sample whose conjugates lie in
     an already built solvable subgroup passes without a build.  Every
-    sample is still drawn, in the same RNG order, and a failing sample is
-    never covered, so the verdict, witness and `tuples_checked` are those
-    of building every sample.
+    sample is still read, in stream order, and a failing sample is never
+    covered, so the verdict, witness and `tuples_checked` are those of
+    building every sample.  The searches of one radical run share one
+    stream, so each sample is drawn once and every class reads it; only the
+    conjugates x g x^-1 and the cover are the class's own.
     """
-    rng = random.Random(rng_seed)
     g_raw = g._img
-    xs: list[Permutation] = []
 
     def conjugate(x: tuple) -> tuple:
         # x g x^-1 maps x[i] to x[g[i]]
@@ -460,17 +488,28 @@ def _random_search(
             h[xi] = x[g_raw[i]]
         return tuple(h)
 
-    def samples():
-        for _ in range(budget):
-            xs[:] = [random_element(group, rng) for _ in range(k)]
-            yield tuple(conjugate(x._img) for x in xs)
-
-    failure = _first_failure(group, g_raw, samples(), is_solvable)
+    samples = (tuple(map(conjugate, draws.sample(i, k))) for i in range(budget))
+    failure = _first_failure(group, g_raw, samples, is_solvable)
     if failure is None:
         return CriterionVerdict(g, True, None, RANDOMIZED, budget)
-    # the kernel stops at the failing sample, so xs holds its conjugators
     i, _, sub = failure
+    xs = [Permutation._from_raw(x) for x in draws.sample(i, k)]
     return CriterionVerdict(g, False, _witness_for(sub, xs), RANDOMIZED, i + 1)
+
+
+def _class_test(
+    group: Bsgs, k: int, mode: str, budget: Optional[int], rng_seed: int, element_test
+):
+    """`test(cls)` for a radical run: the verdict of `element_test` (with k
+    conjugates) on the class's representative.  A randomized run makes one
+    stream of draws here, which every class reads."""
+    budget = _budget_or_default(budget, mode)
+    if mode == RANDOMIZED:
+        draws = _Draws(group, rng_seed)
+        return lambda cls: _random_search(group, cls.representative, k, budget, draws)
+    return lambda cls: element_test(
+        group, cls.representative, mode, budget, rng_seed, cls
+    )
 
 
 def two_conjugate_test(
@@ -493,7 +532,7 @@ def two_conjugate_test(
     _require_prime_order_gt3(g)
     budget = _budget_or_default(budget, mode)
     if mode == RANDOMIZED:
-        return _random_search(group, g, 1, budget, rng_seed)
+        return _random_search(group, g, 1, budget, _Draws(group, rng_seed))
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     return _class_scan(group, g, cls, budget)
 
@@ -559,13 +598,13 @@ def two_conjugate_radical(
     classes of prime order > 3 in the solvable radical.  Classes of other
     orders are not tested and have no verdict."""
 
+    test_rep = _class_test(group, 1, mode, budget, rng_seed, two_conjugate_test)
+
     def test(cls):
         n = cls.representative.order()
         if not (is_prime(n) and n > 3):
             return None
-        return two_conjugate_test(
-            group, cls.representative, mode, budget, rng_seed, class_of_g=cls
-        )
+        return test_rep(cls)
 
     return _criterion_radical(group, classes, SOLVABLE_RADICAL, test)
 
@@ -590,7 +629,7 @@ def four_conjugate_element_test(
     _require_member(group, g)
     tuple_budget = _budget_or_default(tuple_budget, mode)
     if mode == RANDOMIZED:
-        return _random_search(group, g, 3, tuple_budget, rng_seed)
+        return _random_search(group, g, 3, tuple_budget, _Draws(group, rng_seed))
 
     cls = class_of_g if class_of_g is not None else class_of(group, g)
     return _class_scan(group, g, cls, tuple_budget, conjugates=3)
@@ -605,14 +644,10 @@ def four_conjugate_radical(
 ) -> RadicalResult:
     """Subgroup generated by the classes passing the four-conjugate test;
     the claim under test is that it equals the solvable radical."""
-    return _criterion_radical(
-        group,
-        classes,
-        SOLVABLE_RADICAL,
-        lambda cls: four_conjugate_element_test(
-            group, cls.representative, mode, tuple_budget, rng_seed, cls
-        ),
+    test = _class_test(
+        group, 3, mode, tuple_budget, rng_seed, four_conjugate_element_test
     )
+    return _criterion_radical(group, classes, SOLVABLE_RADICAL, test)
 
 
 def class_pair_solvability(

@@ -67,15 +67,19 @@ def derived_subgroup(h: Bsgs) -> Bsgs:
 
 
 def derived_series(h: Bsgs) -> SeriesResult:
-    """H >= [H,H] >= [[H,H],[H,H]] >= ... until trivial or repeated."""
+    """H >= [H,H] >= [[H,H],[H,H]] >= ... until trivial or repeated.  The
+    series decides whether H is solvable, so it fills H's solvability
+    verdict when that is not yet known."""
     terms = [h]
     while True:
         nxt = derived_subgroup(terms[-1])
         terms.append(nxt)
-        if nxt.order == 1:
-            return SeriesResult(terms, terminated=True, stabilized=False)
-        if nxt.order == terms[-2].order:
-            return SeriesResult(terms, terminated=False, stabilized=True)
+        if nxt.order == 1 or nxt.order == terms[-2].order:
+            break
+    terminated = nxt.order == 1
+    if h._solvable is None:
+        h._solvable = terminated
+    return SeriesResult(terms, terminated=terminated, stabilized=not terminated)
 
 
 def _prime_divisors(h: Bsgs) -> set[int]:

@@ -25,6 +25,7 @@ from solvrad.criteria import (
     reduced_conjugate_orbit,
     thompson_test,
     transposition_triple_sharpness,
+    two_conjugate_radical,
     two_conjugate_test,
 )
 from solvrad.perm import conjugate, parse_cycles
@@ -240,6 +241,41 @@ class TestNonsolvableWitnessSearch:
         w1 = nonsolvable_witness_search(g, x, 100, 5)
         w2 = nonsolvable_witness_search(g, x, 100, 5)
         assert w1.conjugators == w2.conjugators
+
+
+class TestBudgetBelowOne:
+    """A budget below 1 is refused in both modes: a randomized search that
+    drew nothing would claim membership, and an exhaustive one would report
+    a budget overrun."""
+
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, RANDOMIZED])
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_element_tests_refuse(self, mode, budget, group_of):
+        g = group_of("A(5)")
+        x = parse_cycles("(1,2,3,4,5)", 5)
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            two_conjugate_test(g, x, mode, budget=budget)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            four_conjugate_element_test(g, x, mode, tuple_budget=budget)
+
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, RANDOMIZED])
+    def test_radicals_refuse(self, mode, group_of, classes_of):
+        g, classes = group_of("A(5)"), classes_of("A(5)")
+        for radical in (two_conjugate_radical, four_conjugate_radical):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                radical(g, classes, mode, 0)
+
+    def test_witness_search_refuses(self, group_of):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            nonsolvable_witness_search(
+                group_of("A(5)"), parse_cycles("(1,2,3,4,5)", 5), 0
+            )
+
+    def test_a_budget_of_one_reads_one_sample(self, group_of):
+        v = two_conjugate_test(
+            group_of("A(5)"), parse_cycles("(1,2,3,4,5)", 5), RANDOMIZED, budget=1
+        )
+        assert v.tuples_checked == 1
 
 
 class TestBaerSuzuki:

@@ -13,8 +13,10 @@ whose orders have three prime divisors, where the predicates still compute.
 Each group keeps its predicate verdicts, and a build of a group's order
 asks the group itself.  The context test checks that one `GroupContext`
 then runs each predicate's series at most once on a group of its order,
-across its oracles and the scans of `bs`, `four` and `two`; the property
-test checks a kept verdict against a fresh one on an equal rebuilt group.
+across its oracles and the scans of `bs`, `four` and `two`, and that the
+derived series that `pairs` and `thompson` report is the one derivation of
+the group, whose verdict their scans read.  The property test checks a
+kept verdict against a fresh one on an equal rebuilt group.
 """
 
 from collections import Counter
@@ -168,22 +170,24 @@ def test_a_kept_verdict_equals_a_fresh_one_on_a_rebuilt_group(gens):
 CONTEXT_SPECS = ["A(5)", "PSL2(7)", "direct(C(5),A(5))", "S(5)"]
 
 
+def _record_series(monkeypatch, asked, name):
+    """Count in `asked`, by (name, order of its argument), each call of the
+    structure function `name`."""
+    series = getattr(structure, name)
+
+    def wrapper(h):
+        asked[name, h.order] += 1
+        return series(h)
+
+    monkeypatch.setattr(structure, name, wrapper)
+
+
 @pytest.mark.parametrize("spec", CONTEXT_SPECS)
 def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
     ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
     asked = Counter()  # (series, order of the group it was asked about)
-
-    def recorded(name):
-        series = getattr(structure, name)
-
-        def wrapper(h):
-            asked[name, h.order] += 1
-            return series(h)
-
-        monkeypatch.setattr(structure, name, wrapper)
-
-    recorded("derived_subgroup")
-    recorded("lower_central_series")
+    _record_series(monkeypatch, asked, "derived_subgroup")
+    _record_series(monkeypatch, asked, "lower_central_series")
     for theorem in ("bs", "four", "two"):
         code, _ = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)
         assert code == EXIT_OK
@@ -192,3 +196,19 @@ def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
     order = ctx.group.order
     assert asked["derived_subgroup", order] == 1
     assert asked["lower_central_series", order] == 1
+
+
+@pytest.mark.parametrize("spec", ["A(5)", "PSL2(7)", "file:sz8.json"])
+def test_whole_group_theorems_derive_the_group_once(spec, monkeypatch):
+    # the derived series that `pairs` and `thompson` report fills the
+    # group's solvability verdict, which their scans then read
+    ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
+    asked = Counter()
+    _record_series(monkeypatch, asked, "derived_subgroup")
+    for theorem in ("pairs", "thompson"):
+        code, report = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)
+        assert code == EXIT_OK
+        assert report.details["criterion_holds"] is False
+        assert report.details["group_is_solvable"] is False
+    assert ctx.group._solvable is False
+    assert asked["derived_subgroup", ctx.group.order] == 1

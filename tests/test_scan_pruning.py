@@ -13,8 +13,11 @@ built earlier contains, and no scan may leave a reference cycle for the
 collector.  A build of the group's order asks the group itself, whose
 verdicts are computed once; on the nonsolvable groups, where many builds
 are the whole group, the scans must still agree with the references, which
-build and ask every subgroup afresh.  The sharpness check builds one triple
-of transpositions per graph shape; its reference builds them all.
+build and ask every subgroup afresh.  The classes of one randomized
+radical run read one stream of draws, each drawn once; every verdict must
+still be that of a reference drawing alone from a fresh RNG.  The
+sharpness check builds one triple of transpositions per graph shape; its
+reference builds them all.
 """
 
 import gc
@@ -41,6 +44,7 @@ from solvrad.criteria import (
     BudgetExceededError,
     SharpnessReport,
     _class_scan,
+    _Draws,
     _first_failure,
     _random_search,
     _triple_shape,
@@ -189,7 +193,7 @@ def check_random_searches(group, classes, seeds, budget):
         g = cls.representative
         for k in (1, 3):
             for seed in seeds:
-                v = _random_search(group, g, k, budget, seed)
+                v = _random_search(group, g, k, budget, _Draws(group, seed))
                 ref = reference_random_search(group, g, k, budget, seed)
                 assert _verdict_key(v) == ref
                 claims.append(v.in_radical_claimed)
@@ -385,6 +389,59 @@ def test_pruned_random_search_matches_reference(spec, solvable, group_of, classe
     )
     # a solvable group passes every sample; the others show some witness
     assert all(claims) == solvable
+
+
+RANDOMIZED_RADICALS = [(four_conjugate_radical, 3), (two_conjugate_radical, 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "spec", ["S(5)", "A(5)", "PSL2(7)", "direct(C(5),A(5))", "direct(S(4),S(4))"]
+)
+def test_randomized_radical_matches_a_fresh_stream_per_class(
+    spec, seed, group_of, classes_of
+):
+    # the classes of one run read one stream of draws; each verdict must be
+    # the one a search drawing alone, from a fresh Random(seed), reaches
+    group, classes = group_of(spec), classes_of(spec)
+    for budget in (4, 12):
+        for radical, k in RANDOMIZED_RADICALS:
+            result = radical(group, classes, RANDOMIZED, budget, seed)
+            for v in result.verdicts:
+                ref = reference_random_search(group, v.element, k, budget, seed)
+                assert _verdict_key(v) == ref
+
+
+@pytest.mark.parametrize("budget", [2, 7, 20])
+def test_a_randomized_radical_draws_each_sample_once(budget, group_of, classes_of,
+                                                     monkeypatch):
+    draws = []
+
+    def counted(group, rng):
+        draws.append(group)
+        return random_element(group, rng)
+
+    monkeypatch.setattr(solvrad.criteria, "random_element", counted)
+    # S4 x S4 is solvable: each of its 25 classes reads the whole budget
+    spec = "direct(S(4),S(4))"
+    result = four_conjugate_radical(
+        group_of(spec), classes_of(spec), RANDOMIZED, budget, 0
+    )
+    assert len(result.verdicts) == 25
+    assert all(v.tuples_checked == budget for v in result.verdicts)
+    assert len(draws) == 3 * budget
+    # C5 x A5: the first 5-element classes fail on an early sample, and a
+    # later class of the radical reads on to the budget, extending the
+    # stream past them
+    draws.clear()
+    spec = "direct(C(5),A(5))"
+    result = two_conjugate_radical(
+        group_of(spec), classes_of(spec), RANDOMIZED, budget, 0
+    )
+    checked = [v.tuples_checked for v in result.verdicts]
+    assert not result.verdicts[0].in_radical_claimed
+    assert checked[0] < max(checked) == budget
+    assert len(draws) == budget
 
 
 @pytest.mark.parametrize(
