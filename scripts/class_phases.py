@@ -20,10 +20,17 @@ best time of each phase over the repetitions:
     all reps    every orbit representative of every class
 
 together with |P|, how many elements the class build rebuilt from their
-rows, and the peak RSS of the process.  Stdlib only; run from a checkout:
+rows, and the peak RSS of the process.
+
+With --element CYCLES it builds no class table and times instead, for the
+one element g, `class_of(G, g)` and the centralizer C_G(g) read from that
+class's walk, and their sum, best of the repetitions.  The element cap does
+not apply there, since G is not enumerated.  Stdlib only; run from a
+checkout:
 
     python3 scripts/class_phases.py 'file:sz8.json'
     python3 scripts/class_phases.py 'S(9)' --element-cap 400000 --repeat 2
+    python3 scripts/class_phases.py 'A(10)' --element '(1,2,3,4,5,6,7)'
 """
 
 import argparse
@@ -43,7 +50,10 @@ from solvrad.bsgs import (  # noqa: E402
     _row_points,
     _sorted_rows,
     build_bsgs,
+    centralizer,
+    class_of,
 )
+from solvrad.perm import parse_cycles  # noqa: E402
 from solvrad.zoo import construct  # noqa: E402
 
 PHASES = (
@@ -103,6 +113,24 @@ def one_run(group, k: int) -> dict:
     return times
 
 
+def element_run(group, g) -> dict:
+    clock = time.perf_counter
+    t = clock()
+    cls = class_of(group, g)
+    times = {"class_of": clock() - t}
+    t = clock()
+    centralizer(group, g, cls)
+    times["centralizer"] = clock() - t
+    times["total"] = times["class_of"] + times["centralizer"]
+    times["size"] = cls.class_size
+    return times
+
+
+def print_rss() -> None:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"  {'peak RSS':13s} {rss:9.1f} MB")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("spec")
@@ -110,9 +138,24 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--first", type=int, default=21,
                         help="k of the first-k phase (default 21)")
+    parser.add_argument("--element", metavar="CYCLES",
+                        help="time class_of and the centralizer of this "
+                        "element instead of the class build")
     args = parser.parse_args(argv)
 
     group = build_bsgs(construct(args.spec))
+    if args.element is not None:
+        g = parse_cycles(args.element, group.degree)
+        if not group.contains(g):
+            print(f"{args.element} is not a member of {args.spec}")
+            return 4
+        runs = [element_run(group, g) for _ in range(args.repeat)]
+        print(f"{args.spec}: order {group.order}, the class of {args.element} has "
+              f"{runs[0]['size']} members; best of {args.repeat}")
+        for phase in ("class_of", "centralizer", "total"):
+            print(f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms")
+        print_rss()
+        return 0
     if group.order > args.element_cap:
         print(f"order {group.order} exceeds --element-cap {args.element_cap}")
         return 3
@@ -124,8 +167,7 @@ def main(argv=None) -> int:
           f"best of {args.repeat}, first-k with k = {args.first}")
     for phase in PHASES:
         print(f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms")
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"  {'peak RSS':13s} {rss:9.1f} MB")
+    print_rss()
     return 0
 
 

@@ -12,10 +12,10 @@ and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
 len(base) lookups before, or instead of, building its image array.
 Conjugacy classes number the sorted group once (_Numbering) from rows, the
 images of the few points that order the elements and key their conjugates,
-and rebuild an element's image array from its base image when it is read.
-Each group generator's conjugation action becomes an array of numbers, and
-the class walks run on the numbers, recording a class id, a parent and a
-generator per element instead of a conjugator.  Conjugators, and a
+and rebuild an element when it is read; class_of numbers one class in the
+walk that finds it.  Each generator's conjugation action is an array of
+numbers, and the class walks run on them, recording a class id, a parent
+and a generator per element instead of a conjugator.  Conjugators, and a
 centralizer's Schreier generators, are read from those arrays on demand:
 every centralizer reads the walk of its element's class, so no orbit is
 walked twice.  Centralizer-orbit representatives are produced lazily, as
@@ -494,41 +494,19 @@ def _conjugate_key(s: tuple, pull: list) -> Callable[[tuple], tuple]:
     return lambda y: itemgetter(*at_pull(y))(s)
 
 
-def _conjugation_orbit(group: Bsgs, x: tuple) -> list[tuple]:
-    """Orbit of x under conjugation by the group's generators, unsorted.
-    Conjugates are identified by base image, so a conjugate costs one key
-    of len(base) lookups and is built only when its key is new."""
-    gens, base = group._gens_raw, group._chain.base
-    steps = list(zip(gens, map(_inv, gens), _conjugate_keys(gens, base)))
-    seen = {_getter(base)(x)}
-    orbit = [x]
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for s, s_inv, key in steps:
-                k = key(y)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(_mul(s, _mul(y, s_inv)))
-        orbit += nxt
-        frontier = nxt
-    return orbit
-
-
 class _Numbering:
-    """Members of a group, numbered once in sorted order, with the
-    conjugation action of the group's generators on the numbers and the
-    orbit walks over it.  The numbered set is the whole group (the classes
-    of `conjugacy_classes`) or one conjugation orbit (`class_of`).
+    """Members of a group, numbered once, with the conjugation action of
+    the group's generators on the numbers and the orbit walks over it: the
+    whole group in sorted order (the classes of `conjugacy_classes`), or
+    one conjugation orbit in the order its walk finds it (`class_of`).
 
-    The members come as sorted rows, their images of the sorted `points`:
-    every point, or the row points of the whole group (_row_points), when
-    order[j] is row j's place in _enumerate_raw.  pos maps a member's base
-    image, read from its row, to its number j, and actions[i][j] is the
-    number of s_i e_j s_i^-1, for the i-th group generator s_i, whose base
-    image s_i(e_j(s_i^-1(b))) is read from row j.  elements[j] is row j, or
-    when rows are not image tuples, member j rebuilt (_Rebuilt).  A sorted
+    The whole group comes as sorted rows, their images of the sorted
+    `points`: every point, or the row points (_row_points), when order[j]
+    is row j's place in _enumerate_raw.  pos maps a member's base image,
+    read from its row, to its number j, and actions[i][j] is the number of
+    s_i e_j s_i^-1, for the i-th group generator s_i, whose base image
+    s_i(e_j(s_i^-1(b))) is read from row j.  elements[j] is row j, or when
+    rows are not image tuples, member j rebuilt (_Rebuilt), and a sorted
     list of numbers is a sorted list of members.  An orbit walk goes
     frontier by frontier, generators in order, the first discovery winning;
     it gives each member it reaches its orbit's id (`cid`), and, except at
@@ -643,7 +621,7 @@ class _Rebuilt(dict):
 class _OrbitReps:
     """The smallest member of each orbit of a group C conjugating a set of
     numbered members (a class, or a union of classes of the whole group),
-    as ascending numbers, produced lazily.
+    listed in ascending order, as numbers in that order, produced lazily.
 
     Iterating yields the representatives found so far, then walks on only
     as far as the consumer reads: the next representative is the smallest
@@ -739,11 +717,11 @@ class ConjugacyClass:
     smallest member), all elements, and the class size.
 
     Members are numbers of a _Numbering, of the whole group or of the class
-    alone, kept ascending.  Instead of a conjugator per member, the class
-    reads conjugator(h) from the numbering's walk arrays on demand: the
-    generators on h's path to the walk's root, times the root's conjugator,
-    which is the re-rooting factor u(rep)^-1 when the walk started at
-    another member and the identity otherwise.
+    alone, listed in ascending order of their elements.  The class reads
+    conjugator(h) from the numbering's walk arrays on demand, not a stored
+    conjugator per member: the generators on h's path to the walk's root,
+    times the root's conjugator, which is the re-rooting factor u(rep)^-1
+    when the walk started at another member and the identity otherwise.
 
     The class also computes, once and on first use, what a criterion scan of
     it needs: `centralizer`, C_G(rep) from the class's walk, and `orbit_reps`,
@@ -890,13 +868,44 @@ def _check_element_cap(order: int, element_cap: int) -> None:
 
 def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
     """The conjugacy class of one member, without full group enumeration:
-    its conjugation orbit, numbered alone and walked from g."""
+    its conjugation orbit, numbered by the walk from g that finds it."""
     if not group.contains(g):
         raise MembershipError(f"{g!r} is not a member of the group")
-    orbit = sorted(_conjugation_orbit(group, g._img))
-    table = _Numbering(group, orbit, range(group.degree))
-    root = table.pos[_getter(group._chain.base)(g._img)]
-    return ConjugacyClass(table, table.walk(root), root)
+    table = _orbit_numbering(group, g._img)
+    members = sorted(table.pos.values(), key=table.elements.__getitem__)
+    return ConjugacyClass(table, members, 0)
+
+
+def _orbit_numbering(group: Bsgs, x: tuple) -> _Numbering:
+    """The conjugation orbit of x, numbered in discovery order by the walk
+    that _Numbering.walk makes from x: a new base-image key of s y s^-1
+    numbers, builds and links the next member.  Members are stepped from in
+    number order, so each step appends the key's number to s's actions."""
+    gens, base = group._gens_raw, group._chain.base
+    table = object.__new__(_Numbering)
+    table.group, table.actions = group, [[] for _ in gens]
+    elements, pos = table.elements, table.pos = [x], {_getter(base)(x): 0}
+    parent, via = table.parent, table.via = [-1], [0]
+    keys = _conjugate_keys(gens, base)
+    steps = list(zip(range(len(gens)), gens, map(_inv, gens), keys, table.actions))
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for y in frontier:  # pos's int objects, which parent holds too
+            e = elements[y]
+            for i, s, s_inv, key, act in steps:
+                k = key(e)
+                z = pos.get(k)
+                if z is None:
+                    z = pos[k] = len(elements)
+                    elements.append(_mul(s, _mul(e, s_inv)))
+                    parent.append(y)
+                    via.append(i)
+                    nxt.append(z)
+                act.append(z)
+        frontier = nxt
+    table.cid, table.sizes = [0] * len(elements), [len(elements)]
+    return table
 
 
 def random_element(group: Bsgs, rng) -> Permutation:

@@ -94,7 +94,9 @@ def _budget_or_default(budget: Optional[int], mode: str) -> int:
     """`budget`, or when it is None the default of `mode`: a tuple budget
     for an exhaustive scan, a sample count for a randomized search.  A
     budget below 1 is refused: a search that draws nothing, or a scan that
-    may check nothing, decides nothing."""
+    may check nothing, decides nothing.  An unknown mode is refused too."""
+    if mode not in (EXHAUSTIVE, RANDOMIZED):
+        raise ValueError(f"mode must be {EXHAUSTIVE!r} or {RANDOMIZED!r}, got {mode!r}")
     if budget is None:
         return DEFAULT_RANDOMIZED_BUDGET if mode == RANDOMIZED else DEFAULT_TUPLE_BUDGET
     if budget < 1:
@@ -164,9 +166,13 @@ def _span(group: Bsgs, raws) -> Bsgs:
     )
 
 
-def _require_member(group: Bsgs, g: Permutation) -> None:
+def _require_member(
+    group: Bsgs, g: Permutation, class_of_g: Optional[ConjugacyClass]
+) -> None:
     if not group.contains(g):
         raise MembershipError(f"{g!r} is not a member of the group")
+    if class_of_g is not None and class_of_g._table.group is not group:
+        raise MembershipError("class_of_g is a class of another group object")
 
 
 def _require_prime_order_gt3(g: Permutation) -> int:
@@ -528,7 +534,7 @@ def two_conjugate_test(
     samples `budget` x (default DEFAULT_RANDOMIZED_BUDGET) and can only
     report a witness.
     """
-    _require_member(group, g)
+    _require_member(group, g, class_of_g)
     _require_prime_order_gt3(g)
     budget = _budget_or_default(budget, mode)
     if mode == RANDOMIZED:
@@ -626,7 +632,7 @@ def four_conjugate_element_test(
     len(h1 reps) * |class(g)|^2 that must be <= tuple_budget (default
     DEFAULT_TUPLE_BUDGET).
     """
-    _require_member(group, g)
+    _require_member(group, g, class_of_g)
     tuple_budget = _budget_or_default(tuple_budget, mode)
     if mode == RANDOMIZED:
         return _random_search(group, g, 3, tuple_budget, _Draws(group, rng_seed))

@@ -1,8 +1,8 @@
 """Differential safety net for conjugation orbits walked on numbered elements.
 
-`solvrad.bsgs` numbers the sorted group (or one class) once, walks the classes
-on the numbers, and keeps a parent and a generator per element instead of a
-conjugator per member; centralizer-orbit representatives come from a lazy
+`solvrad.bsgs` numbers the sorted group once and walks the classes on the
+numbers, or numbers one class (class_of) in the walk that discovers it, and
+keeps a parent and a generator per element instead of a conjugator per member; centralizer-orbit representatives come from a lazy
 stream counted by Burnside's lemma.  The reference below is the full-tuple
 orbit walk: every conjugate built as s y s^-1, an eager transversal with one
 conjugator per member, re-rooted at the representative when the walk started
@@ -222,6 +222,29 @@ def check_group(group, classes, thorough=True):
         )
 
 
+def assert_orbit_numbering(group, cls, g):
+    """The one-orbit table of cls = class_of(group, g): g is number 0 and
+    the class's root; pos maps each member's base image to its number;
+    actions[i][j] is the number of s_i e_j s_i^-1; each other member is
+    s e_parent s^-1 for s = s_via, found after its parent; and the class
+    lists its members ascending."""
+    table = cls._table
+    els, gens, base = table.elements, group._gens_raw, group._chain.base
+    n = len(els)
+    assert els[0] == g and cls._root == 0 and table.parent[0] == -1
+    assert table.pos == {tuple(e[b] for b in base): j for j, e in enumerate(els)}
+    assert len(table.pos) == n == cls.class_size
+    for s, act in zip(gens, table.actions, strict=True):
+        si = _inv(s)
+        assert [els[z] for z in act] == [_mul(s, _mul(e, si)) for e in els]
+    for j in range(1, n):
+        s, up = gens[table.via[j]], table.parent[j]
+        assert up < j
+        assert els[j] == _mul(s, _mul(els[up], _inv(s)))
+    assert cls._elements_raw == sorted(els)
+    assert table.cid == [0] * n and table.sizes == [n]
+
+
 def check_class_of_non_representatives(group, classes):
     """class_of from members other than the representative re-roots its
     walk, and centralizers walked from such a member agree too."""
@@ -230,6 +253,7 @@ def check_class_of_non_representatives(group, classes):
         for h in sorted({members[-1], members[len(members) // 2]} - {members[0]}):
             p = Permutation._from_raw(h)
             got = class_of(group, p)
+            assert_orbit_numbering(group, got, h)
             elements, transversal = ref_class_of(group, h)
             assert_class_matches(group, got, elements, transversal)
             assert centralizer(group, got.representative, got)._gens_raw == (
@@ -271,6 +295,22 @@ def test_named_groups_match_reference(spec, group_of, classes_of):
 @pytest.mark.parametrize("spec", SPECS)
 def test_class_of_from_non_representative(spec, group_of, classes_of):
     check_class_of_non_representatives(group_of(spec), classes_of(spec))
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_orbit_numbering_of_sz8(seed, sz8, sz8_classes):
+    """class_of's one-orbit table on Sz(8), and on a relabelling that moves
+    its base, from the representative, a middle and the last member of a
+    few classes."""
+    if seed is None:
+        group, classes = sz8, sz8_classes
+    else:
+        group = build_bsgs(relabelled("file:sz8.json", seed))
+        classes = conjugacy_classes(group)
+    for cls in classes[1::3]:
+        members = cls._elements_raw
+        for h in (members[0], members[len(members) // 2], members[-1]):
+            assert_orbit_numbering(group, class_of(group, Permutation._from_raw(h)), h)
 
 
 def test_sz8_matches_reference(sz8, sz8_classes):

@@ -278,6 +278,27 @@ class TestBudgetBelowOne:
         assert v.tuples_checked == 1
 
 
+class TestUnknownMode:
+    """A search mode other than EXHAUSTIVE and RANDOMIZED is refused, not
+    run as an exhaustive scan."""
+
+    @pytest.mark.parametrize("mode", ["exhaustiv", "RANDOMIZED", "random", None])
+    def test_refused(self, mode, group_of, classes_of):
+        g, classes = group_of("A(5)"), classes_of("A(5)")
+        x = parse_cycles("(1,2,3,4,5)", 5)
+        runs = [
+            lambda: two_conjugate_test(g, x, mode),
+            lambda: four_conjugate_element_test(g, x, mode),
+            lambda: two_conjugate_radical(g, classes, mode),
+            lambda: four_conjugate_radical(g, classes, mode),
+        ]
+        for run in runs:
+            with pytest.raises(
+                ValueError, match="mode must be 'exhaustive' or 'randomized'"
+            ):
+                run()
+
+
 class TestBaerSuzuki:
     def test_s4_matches_fitting_oracle(self, group_of, classes_of):
         g = group_of("S(4)")
@@ -394,6 +415,21 @@ class TestGivenClass:
     @pytest.mark.parametrize(
         "test", [two_conjugate_test, four_conjugate_element_test]
     )
+    def test_class_of_another_group_is_refused(self, test, group_of):
+        """The class of g in <g> holds g, but a scan of it would read <g>'s
+        centralizer and orbit representatives, and claim g for A(5)'s
+        radical."""
+        group = group_of("A(5)")
+        g = parse_cycles("(1,2,3,4,5)", 5)
+        cyclic = build_bsgs(GeneratorSet(5, [g]))
+        assert not test(group, g).in_radical_claimed
+        for mode in (EXHAUSTIVE, RANDOMIZED):
+            with pytest.raises(MembershipError, match="class of another group"):
+                test(group, g, mode, class_of_g=class_of(cyclic, g))
+
+    @pytest.mark.parametrize(
+        "test", [two_conjugate_test, four_conjugate_element_test]
+    )
     def test_given_class_is_not_walked_again(
         self, test, group_of, classes_of, monkeypatch
     ):
@@ -406,9 +442,9 @@ class TestGivenClass:
         assert g not in (own.representative, whole.representative)
         expected = test(group, g)
         walks = []
-        walk = solvrad.bsgs._conjugation_orbit
+        walk = solvrad.bsgs._orbit_numbering
         monkeypatch.setattr(
-            solvrad.bsgs, "_conjugation_orbit",
+            solvrad.bsgs, "_orbit_numbering",
             lambda *args: walks.append(args) or walk(*args),
         )
         assert test(group, g, class_of_g=own) == expected
