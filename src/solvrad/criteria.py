@@ -50,9 +50,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Optional
 
 from .bsgs import (
@@ -62,13 +60,14 @@ from .bsgs import (
     MembershipError,
     _OrbitReps,
     _check_element_cap,
+    _getter,
     centralizer,
     class_of,
     conjugacy_classes,
     normal_closure,
     random_element,
 )
-from .perm import Permutation, _mul, is_prime
+from .perm import Permutation, _inv, _mul, is_prime
 from .structure import (
     CRITERION,
     FITTING,
@@ -230,10 +229,11 @@ class _Cover:
     """The passing subgroups <g, h1, ..., hk> that one scan of g has built,
     and what is known of their members.
 
-    Each distinct conjugate gets a bit, 1 << n, when it is first seen.  Each
-    group keeps two masks over those bits: the conjugates it has been tested
-    on, and those it contains.  So a conjugate is sifted through a group at
-    most once; asked again, it costs a bit test.  A group contains the
+    Each distinct conjugate gets a bit, 1 << n, when it is first seen, and
+    a tuple's mask is the OR of its members' bits.  Each group keeps two
+    masks: the conjugates it has been tested on, and those it contains.  So
+    a tuple is tested against a group with one mask comparison, and a
+    conjugate is sifted through a group at most once.  A group contains the
     conjugates it was built from without a sift.
 
     Tuples of powers of g need no group: they generate <g>, which is
@@ -245,8 +245,8 @@ class _Cover:
     """
 
     __slots__ = (
-        "groups", "tested", "inside", "bits", "powers", "_g_powers", "_g",
-        "_commuting",
+        "groups", "tested", "inside", "bits", "conj", "powers", "_g_powers",
+        "_g", "_commuting",
     )
 
     def __init__(self, g: tuple):
@@ -256,6 +256,7 @@ class _Cover:
         self.tested: list[int] = []
         self.inside: list[int] = []
         self.bits: dict[tuple, int] = {}  # conjugate -> its bit
+        self.conj: list[tuple] = []  # bit position -> its conjugate
         self.powers = 0  # the bits of the conjugates that are powers of g
         self._g_powers = {g}
         p = _mul(g, g)
@@ -266,7 +267,8 @@ class _Cover:
     def bit(self, h: tuple) -> int:
         b = self.bits.get(h)
         if b is None:
-            b = self.bits[h] = 1 << len(self.bits)
+            b = self.bits[h] = 1 << len(self.conj)
+            self.conj.append(h)
             if h in self._g_powers:
                 self.powers |= b
         return b
@@ -285,23 +287,29 @@ class _Cover:
             return True
         return False
 
-    def contains(self, k: int, h: tuple, b: int) -> bool:
-        """Whether group k contains the conjugate h, whose bit is b."""
-        if b & self.powers:
-            return True
-        if not self.tested[k] & b:
+    def holds(self, k: int, mask: int) -> bool:
+        """Whether group k contains every conjugate of `mask`; the untested
+        ones are sifted in bit order, up to the first it does not contain."""
+        need = mask & ~(self.powers | self.inside[k])
+        if not need or need & self.tested[k]:
+            return not need
+        contains = self.groups[k]._contains_raw
+        while need:
+            b = need & -need
             self.tested[k] |= b
-            if self.groups[k]._contains_raw(h):
-                self.inside[k] |= b
-        return bool(self.inside[k] & b)
+            if not contains(self.conj[b.bit_length() - 1]):
+                return False
+            self.inside[k] |= b
+            need ^= b
+        return True
 
-    def covers(self, ks, hs: tuple, bs) -> bool:
-        """Whether one of the groups ks contains all of hs, whose bits are bs."""
+    def covers(self, ks, mask: int) -> bool:
+        """Whether one of the groups ks contains every conjugate of `mask`."""
         # newest first: later cover groups tend to be the larger ones
-        return any(
-            all(self.contains(k, h, b) for h, b in zip(hs, bs))
-            for k in reversed(ks)
-        )
+        for k in reversed(ks):
+            if self.holds(k, mask):
+                return True
+        return False
 
     def add(self, sub: Bsgs, mask: int) -> int:
         """Add a passing group built from the conjugates of `mask`; returns
@@ -330,19 +338,22 @@ def _first_failure(
     each other passes without a build of its own.  An abelian group is not
     added to the cover: a tuple inside it commutes too, and passes the same
     test.  A failing prefix fails with every completion, so it is reported
-    with its first, where the unpruned scan first fails.
+    with its first, where the unpruned scan first fails.  Cover tests take
+    a tuple's mask.
     """
     cover = _Cover(g_raw)
-    level = (members, [cover.bit(h) for h in members])
+    bit = cover.bit
+    level = (members, [bit(h) for h in members])
     for i, hs in enumerate(candidates):
-        bs = [cover.bit(h) for h in hs]
-        mask = reduce(or_, bs, 0)
+        mask = 0
+        for h in hs:
+            mask |= bit(h)
         if depth:
-            live = [k for k in range(len(cover.groups)) if cover.covers((k,), hs, bs)]
+            live = [k for k in range(len(cover.groups)) if cover.holds(k, mask)]
             failure = _scan_prefix(
                 group, cover, predicate, level, depth, hs, mask, [live]
             )
-        elif cover.cyclic(mask) or cover.covers(range(len(cover.groups)), hs, bs):
+        elif cover.cyclic(mask) or cover.covers(range(len(cover.groups)), mask):
             continue
         elif cover.abelian(hs, mask):
             continue
@@ -368,7 +379,7 @@ def _scan_prefix(group, cover, predicate, level, depth, hs, mask, lives):
             return hs, _span(group, [cover._g, *hs])
     if depth > 1:
         for h, b in zip(members, bits):
-            nxt = [k for k in live if cover.contains(k, h, b)]
+            nxt = [k for k in live if cover.holds(k, b)]
             failure = _scan_prefix(
                 group, cover, predicate, level, depth - 1, (*hs, h), mask | b,
                 [*lives, nxt],
@@ -382,7 +393,7 @@ def _scan_prefix(group, cover, predicate, level, depth, hs, mask, lives):
     for k in live:
         known |= cover.inside[k]
     for h, b in zip(members, bits):
-        if b & known or cover.covers(live, (h,), (b,)):
+        if b & known or cover.covers(live, b):
             continue
         m = mask | b
         if not cover.abelian((*hs, h), m):
@@ -450,24 +461,39 @@ def _class_scan(
 
 class _Draws:
     """The `random_element` draws of one seeded stream, as raw image tuples,
-    drawn when first read and then kept.  Sample i of k conjugators is
-    draws k*i ... k*i + k - 1, which is what k draws at a time from a fresh
-    random.Random(rng_seed) give, so searches that share the stream read
-    the samples each would draw alone, and each draw is made once."""
+    drawn when first read and then kept, each with its inverse's getter.
+    Sample i of k conjugators is draws k*i ... k*i + k - 1, which is what k
+    draws at a time from a fresh random.Random(rng_seed) give, so searches
+    that share the stream read the samples each would draw alone, and each
+    draw is made once."""
 
-    __slots__ = ("_group", "_rng", "_raws")
+    __slots__ = ("_group", "_rng", "_raws", "_invs")
 
     def __init__(self, group: Bsgs, rng_seed: int):
         self._group = group
         self._rng = random.Random(rng_seed)
         self._raws: list[tuple] = []
+        self._invs: list = []
+
+    def _draw_to(self, stop: int) -> None:
+        raws, invs = self._raws, self._invs
+        while len(raws) < stop:
+            x = random_element(self._group, self._rng)._img
+            raws.append(x)
+            invs.append(_getter(_inv(x)))
 
     def sample(self, i: int, k: int) -> list[tuple]:
         stop = k * (i + 1)
-        raws = self._raws
-        while len(raws) < stop:
-            raws.append(random_element(self._group, self._rng)._img)
-        return raws[stop - k:stop]
+        self._draw_to(stop)
+        return self._raws[stop - k:stop]
+
+    def conjugates(self, i: int, k: int, at_g) -> tuple:
+        """The x g x^-1 of sample i, `at_g` g's getter: two C gathers, as
+        (x g x^-1)[j] = (x o g)[x^-1[j]]."""
+        stop = k * (i + 1)
+        self._draw_to(stop)
+        raws, invs = self._raws, self._invs
+        return tuple([invs[j](at_g(raws[j])) for j in range(stop - k, stop)])
 
 
 def _random_search(
@@ -483,19 +509,11 @@ def _random_search(
     covered, so the verdict, witness and `tuples_checked` are those of
     building every sample.  The searches of one radical run share one
     stream, so each sample is drawn once and every class reads it; only the
-    conjugates x g x^-1 and the cover are the class's own.
+    conjugates x g x^-1, from g's getter, and the cover are the class's own.
     """
-    g_raw = g._img
-
-    def conjugate(x: tuple) -> tuple:
-        # x g x^-1 maps x[i] to x[g[i]]
-        h = list(x)
-        for i, xi in enumerate(x):
-            h[xi] = x[g_raw[i]]
-        return tuple(h)
-
-    samples = (tuple(map(conjugate, draws.sample(i, k))) for i in range(budget))
-    failure = _first_failure(group, g_raw, samples, is_solvable)
+    at_g = _getter(g._img)
+    samples = (draws.conjugates(i, k, at_g) for i in range(budget))
+    failure = _first_failure(group, g._img, samples, is_solvable)
     if failure is None:
         return CriterionVerdict(g, True, None, RANDOMIZED, budget)
     i, _, sub = failure

@@ -33,7 +33,9 @@ import solvrad.criteria
 from solvrad.bsgs import (
     Bsgs,
     GeneratorSet,
+    _getter,
     build_bsgs,
+    class_of,
     conjugacy_classes,
     enumerate_elements,
     random_element,
@@ -44,6 +46,7 @@ from solvrad.criteria import (
     BudgetExceededError,
     SharpnessReport,
     _class_scan,
+    _Cover,
     _Draws,
     _first_failure,
     _random_search,
@@ -58,7 +61,7 @@ from solvrad.criteria import (
     two_conjugate_radical,
     two_conjugate_test,
 )
-from solvrad.perm import Permutation, _inv, _mul, is_prime, parse_cycles
+from solvrad.perm import Permutation, _inv, _mul, conjugate, is_prime, parse_cycles
 from solvrad.zoo import construct
 from solvrad.structure import is_nilpotent, is_solvable
 
@@ -358,16 +361,18 @@ def test_no_build_lies_in_an_earlier_passing_group(spec, group_of, classes_of,
                 passing.append(sub)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.permutations(list(range(1, n + 1))).map(Permutation),
-            min_size=1,
-            max_size=3,
-        )
+# generators of a random group of degree at most 6
+RANDOM_GENS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(1, n + 1))).map(Permutation),
+        min_size=1,
+        max_size=3,
     )
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_GENS)
 def test_pruned_scans_match_reference_on_random_groups(gens):
     group = build_bsgs(GeneratorSet(gens[0].degree, gens))
     classes = conjugacy_classes(group)
@@ -375,6 +380,59 @@ def test_pruned_scans_match_reference_on_random_groups(gens):
     check_random_searches(group, classes, seeds=(0, 1), budget=10)
     if group.order <= 120:  # beyond, the unpruned references get too slow
         check_group_scans(group, classes, four_space_limit=2_000)
+
+
+class _CountedSifts:
+    """A cover group that counts its sifts, by (group, conjugate)."""
+
+    def __init__(self, sub, k, sifts):
+        self._sub, self._k, self._sifts = sub, k, sifts
+
+    def _contains_raw(self, h):
+        self._sifts[self._k, h] += 1
+        return self._sub._contains_raw(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOM_GENS, st.data())
+def test_cover_holds_is_membership_and_sifts_once(gens, data):
+    # a cover of g over (some of) its class, with a few passing groups
+    # <g, h...>: holds(k, mask) is whether group k contains every conjugate
+    # of the mask, the powers of g counted as inside; a second query sifts
+    # nothing, and no conjugate is sifted twice through one group
+    group = build_bsgs(GeneratorSet(gens[0].degree, gens))
+    g = data.draw(st.sampled_from(gens))._img
+    members = class_of(group, Permutation._from_raw(g))._elements_raw[:12]
+    powers, p = {g}, _mul(g, g)
+    while p != g:
+        powers.add(p)
+        p = _mul(p, g)
+    cover = _Cover(g)
+    assert [cover.bit(h) for h in members] == [1 << j for j in range(len(members))]
+    index = st.integers(min_value=0, max_value=len(members) - 1)
+    sifts, subs = Counter(), []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        picked = data.draw(st.lists(index, max_size=2))
+        sub = _span(group.degree, [g, *(members[j] for j in picked)])
+        if is_solvable(sub):
+            mask = sum(1 << j for j in set(picked))
+            assert cover.add(_CountedSifts(sub, len(subs), sifts), mask) == len(subs)
+            subs.append(sub)
+    masks = st.integers(min_value=0, max_value=(1 << len(members)) - 1)
+    for mask in data.draw(st.lists(masks, min_size=1, max_size=8)):
+        for k, sub in enumerate(subs):
+            want = all(
+                h in powers or sub._contains_raw(h)
+                for j, h in enumerate(members) if mask >> j & 1
+            )
+            assert cover.holds(k, mask) == want
+            before = sifts.total()
+            assert cover.holds(k, mask) == want
+            assert sifts.total() == before
+        assert cover.covers(range(len(subs)), mask) == any(
+            cover.holds(k, mask) for k in range(len(subs))
+        )
+    assert max(sifts.values(), default=1) == 1
 
 
 @pytest.mark.parametrize(
@@ -442,6 +500,25 @@ def test_a_randomized_radical_draws_each_sample_once(budget, group_of, classes_o
     assert not result.verdicts[0].in_radical_claimed
     assert checked[0] < max(checked) == budget
     assert len(draws) == budget
+
+
+@pytest.mark.parametrize("spec", ["S(1)", "S(2)", "direct(S(4),S(4))", "file:sz8.json"])
+def test_gathered_conjugates_are_conjugates(spec, group_of):
+    # S(1) takes _getter's lookup path (itemgetter gives a bare item for one
+    # index), S(2) the smallest itemgetter path, Sz(8) has degree 65
+    group = group_of(spec)
+    gs = [random_element(group, random.Random(s)) for s in range(3)]
+    gs += group.generators
+    for k in (1, 3):
+        draws = _Draws(group, 7)
+        furthest = -1
+        for i in (4, 0, 9, 2, 9):
+            got = [draws.conjugates(i, k, _getter(g._img)) for g in gs]
+            # the stream holds the draws of every sample up to the furthest
+            furthest = max(furthest, i)
+            assert len(draws._raws) == len(draws._invs) == k * (furthest + 1)
+            xs = [Permutation._from_raw(x) for x in draws.sample(i, k)]
+            assert got == [tuple(conjugate(g, x)._img for x in xs) for g in gs]
 
 
 @pytest.mark.parametrize(
