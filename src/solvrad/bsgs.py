@@ -278,9 +278,10 @@ class Bsgs:
 
     Built once, then safe to share: queries never change the group, and the
     only state they add is filled on first use and never changes: the draw
-    tables of `random_element`, built on the first draw, and the verdicts
-    of `structure.is_solvable` and `is_nilpotent` (`_solvable`,
-    `_nilpotent`), each computed on the first question.
+    tables of `random_element`, built on the first draw, the order of the
+    solvable residual that `structure.is_solvable` reads (`_residual`), and
+    the verdict of `structure.is_nilpotent` (`_nilpotent`), each computed
+    on the first question.
 
     `bound`, when given, must be a proven upper bound on the order of the
     generated group, such as the order of a group that contains every
@@ -288,7 +289,7 @@ class Bsgs:
     """
 
     __slots__ = (
-        "degree", "_chain", "_gens_raw", "_order", "_draw_blocks", "_solvable",
+        "degree", "_chain", "_gens_raw", "_order", "_draw_blocks", "_residual",
         "_nilpotent",
     )
 
@@ -297,7 +298,7 @@ class Bsgs:
         self._gens_raw = [g._img for g in gens.generators]
         self._chain = _Chain(gens.degree, self._gens_raw, bound)
         self._order = self._chain.order()
-        self._draw_blocks = self._solvable = self._nilpotent = None
+        self._draw_blocks = self._residual = self._nilpotent = None
 
     @classmethod
     def _wrap(cls, degree: int, chain: _Chain, defining_raw: list[tuple]) -> "Bsgs":
@@ -307,7 +308,7 @@ class Bsgs:
         group._chain = chain
         group._gens_raw = defining_raw
         group._order = chain.order()
-        group._draw_blocks = group._solvable = group._nilpotent = None
+        group._draw_blocks = group._residual = group._nilpotent = None
         return group
 
     @property

@@ -15,9 +15,10 @@ goes to stderr only.  Report content is independent of --threads; identical
 (command, spec, seed) runs are byte-identical except for timing fields.
 
 Suite entries with one spec and element cap share one GroupContext: its group,
-classes, centralizers and oracles are computed once.  Each class's orbit
-representatives are one growing prefix, produced as far as a scan reads and
-shared by every entry that scans the class.
+classes, centralizers and oracles are computed once, and the group keeps
+its own solvability and nilpotency facts.  Each class's orbit representatives
+are one growing prefix, produced as far as a scan reads and shared by every
+entry that scans the class.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ from .criteria import (
 )
 from .perm import CycleFormatError, print_cycles
 from .structure import (
-    derived_series,
     fitting_oracle,
     solvable_radical_oracle,
+    solvable_residual_order,
 )
 from .zoo import GroupFileError, GroupSpecError, construct
 
@@ -147,12 +148,13 @@ def _require_at_least(name: str, value: Optional[int], least: int) -> None:
 
 class GroupContext:
     """The group of one (spec, element cap), its classes, and, on first use,
-    its radical oracles and derived series, each computed once.  A group
-    whose order the spec gives, a named family or a file with a
-    claimed_order, is refused past the cap before it is built; a file group
-    built to check its claimed_order is that build, not a second one.  The
-    group keeps its own solvability and nilpotency verdicts, so the oracles
-    and every entry's scans share them."""
+    its radical oracles, each computed once.  A group whose order the spec
+    gives, a named family or a file with a claimed_order, is refused past
+    the cap before it is built; a file group built to check its
+    claimed_order is that build, not a second one.  The
+    group keeps the order of its solvable residual and its nilpotency
+    verdict, so the oracles, every entry's scans and the whole-group rows
+    share them."""
 
     def __init__(self, spec: str, element_cap: int):
         self.spec = spec
@@ -170,10 +172,6 @@ class GroupContext:
     @cached_property
     def fitting_radical(self):
         return fitting_oracle(self.group, self.classes)
-
-    @cached_property
-    def series(self):
-        return derived_series(self.group)
 
 
 def cmd_info(ctx: GroupContext) -> tuple[int, VerificationReport]:
@@ -215,9 +213,10 @@ def _thompson_outcome(tv) -> tuple[bool, Optional[int], dict]:
 # RadicalResult and its oracle's, which are compared class by class.  A
 # whole-group row runs a criterion on the whole group and gives whether it
 # holds, the order of the failing subgroup, and its details; it is compared
-# with the group's solvability.  Each row, and the context's oracles, call
-# module globals by name when they run, never a function captured at import,
-# so a rebound global (a tracer's span, a test's stand-in) is the one that runs.
+# with the group's solvability, read from its solvable residual.  Each row,
+# the context's oracles and the residual call module globals by name when
+# they run, never a function captured at import, so a rebound global (a
+# tracer's span, a test's stand-in) is the one that runs.
 RADICAL_THEOREMS = {
     "bs": lambda ctx, mode, budget, seed: (
         baer_suzuki_set(ctx.group, ctx.classes, budget),
@@ -284,14 +283,12 @@ def cmd_verify(
         if len(result.verdicts) < len(ctx.classes):
             details["tested_class_reps"] = len(result.verdicts)
     else:
-        # a nonsolvable group's series ends at its perfect core; read before
-        # the scan, it leaves the group's solvability verdict for the scan
-        series = ctx.series
         holds, failing_order, details = WHOLE_GROUP_THEOREMS[theorem](ctx, budget)
-        solvable = series.terminated
+        residual = solvable_residual_order(ctx.group)
+        solvable = residual == 1
         per_element = []
         comparison = {
-            "oracle_order": ctx.group.order if solvable else series.terms[-1].order,
+            "oracle_order": ctx.group.order if solvable else residual,
             "criterion_order": ctx.group.order if holds else failing_order,
             "equal": holds == solvable,
         }

@@ -165,23 +165,26 @@ def _span(group: Bsgs, raws) -> Bsgs:
     )
 
 
+def _require_classes_of(group: Bsgs, classes) -> None:
+    """Refuse a class of another group object: a scan of it would read that
+    group's centralizer and orbit representatives."""
+    for cls in classes:
+        if cls._table.group is not group:
+            raise MembershipError("a class of another group object was given")
+
+
 def _require_member(
     group: Bsgs, g: Permutation, class_of_g: Optional[ConjugacyClass]
 ) -> None:
     if not group.contains(g):
         raise MembershipError(f"{g!r} is not a member of the group")
-    if class_of_g is not None and class_of_g._table.group is not group:
-        raise MembershipError("class_of_g is a class of another group object")
+    if class_of_g is not None:
+        _require_classes_of(group, [class_of_g])
 
 
-def _require_prime_order_gt3(g: Permutation) -> int:
-    n = g.order()
-    if not (is_prime(n) and n > 3):
-        raise ValueError(
-            f"element order {n} violates the precondition: order must be "
-            "prime and greater than 3"
-        )
-    return n
+def _prime_gt3(n: int) -> bool:
+    """Whether n is a prime > 3, an element order the two-conjugate test takes."""
+    return is_prime(n) and n > 3
 
 
 def reduced_conjugate_orbit(
@@ -522,17 +525,20 @@ def _random_search(
 
 
 def _class_test(
-    group: Bsgs, k: int, mode: str, budget: Optional[int], rng_seed: int, element_test
+    group: Bsgs, k: int, mode: str, budget: Optional[int], rng_seed: int,
+    nilpotent: bool = False,
 ):
-    """`test(cls)` for a radical run: the verdict of `element_test` (with k
-    conjugates) on the class's representative.  A randomized run makes one
-    stream of draws here, which every class reads."""
+    """`test(g, cls)`: the verdict of a search in `mode` with k conjugates
+    on g, a member whose class is `cls` or None.  A randomized test makes
+    one stream of draws here, which every g reads; an exhaustive one scans
+    `cls`, or class_of(group, g) when cls is None, for nilpotent subgroups
+    when `nilpotent` is set, else solvable ones."""
     budget = _budget_or_default(budget, mode)
     if mode == RANDOMIZED:
         draws = _Draws(group, rng_seed)
-        return lambda cls: _random_search(group, cls.representative, k, budget, draws)
-    return lambda cls: element_test(
-        group, cls.representative, mode, budget, rng_seed, cls
+        return lambda g, cls: _random_search(group, g, k, budget, draws)
+    return lambda g, cls: _class_scan(
+        group, g, cls or class_of(group, g), budget, k, nilpotent
     )
 
 
@@ -553,12 +559,12 @@ def two_conjugate_test(
     report a witness.
     """
     _require_member(group, g, class_of_g)
-    _require_prime_order_gt3(g)
-    budget = _budget_or_default(budget, mode)
-    if mode == RANDOMIZED:
-        return _random_search(group, g, 1, budget, _Draws(group, rng_seed))
-    cls = class_of_g if class_of_g is not None else class_of(group, g)
-    return _class_scan(group, g, cls, budget)
+    if not _prime_gt3(n := g.order()):
+        raise ValueError(
+            f"element order {n} violates the precondition: order must be "
+            "prime and greater than 3"
+        )
+    return _class_test(group, 1, mode, budget, rng_seed)(g, class_of_g)
 
 
 def nonsolvable_witness_search(
@@ -571,12 +577,13 @@ def nonsolvable_witness_search(
 
 def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
     """The normal closure of the class representatives a criterion claims
-    for the radical.  `test(cls)` gives the verdict on the class's
+    for the radical.  `test(rep, cls)` gives the verdict on the class's
     representative, or None for a class the criterion does not test."""
+    _require_classes_of(group, classes)
     verdicts = []
     member_reps = []
     for cls in classes:
-        v = test(cls)
+        v = test(cls.representative, cls)
         if v is None:
             continue
         verdicts.append(v)
@@ -600,12 +607,12 @@ def baer_suzuki_set(
     <g, xgx^-1> nilpotent; by the classical Baer-Suzuki theorem this is the
     nilpotent radical.  Each class scans at most `budget` orbit
     representatives."""
+    scan = _class_test(group, 1, EXHAUSTIVE, budget, 0, nilpotent=True)
 
-    def test(cls):
-        rep = cls.representative
+    def test(rep, cls):
         if rep.is_identity():
             return CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
-        return _class_scan(group, rep, cls, budget, nilpotent=True)
+        return scan(rep, cls)
 
     return _criterion_radical(group, classes, FITTING, test)
 
@@ -621,14 +628,10 @@ def two_conjugate_radical(
     two-conjugate test; the claim under test is that these are exactly the
     classes of prime order > 3 in the solvable radical.  Classes of other
     orders are not tested and have no verdict."""
+    scan = _class_test(group, 1, mode, budget, rng_seed)
 
-    test_rep = _class_test(group, 1, mode, budget, rng_seed, two_conjugate_test)
-
-    def test(cls):
-        n = cls.representative.order()
-        if not (is_prime(n) and n > 3):
-            return None
-        return test_rep(cls)
+    def test(rep, cls):
+        return scan(rep, cls) if _prime_gt3(rep.order()) else None
 
     return _criterion_radical(group, classes, SOLVABLE_RADICAL, test)
 
@@ -651,12 +654,7 @@ def four_conjugate_element_test(
     DEFAULT_TUPLE_BUDGET).
     """
     _require_member(group, g, class_of_g)
-    tuple_budget = _budget_or_default(tuple_budget, mode)
-    if mode == RANDOMIZED:
-        return _random_search(group, g, 3, tuple_budget, _Draws(group, rng_seed))
-
-    cls = class_of_g if class_of_g is not None else class_of(group, g)
-    return _class_scan(group, g, cls, tuple_budget, conjugates=3)
+    return _class_test(group, 3, mode, tuple_budget, rng_seed)(g, class_of_g)
 
 
 def four_conjugate_radical(
@@ -668,9 +666,7 @@ def four_conjugate_radical(
 ) -> RadicalResult:
     """Subgroup generated by the classes passing the four-conjugate test;
     the claim under test is that it equals the solvable radical."""
-    test = _class_test(
-        group, 3, mode, tuple_budget, rng_seed, four_conjugate_element_test
-    )
+    test = _class_test(group, 3, mode, tuple_budget, rng_seed)
     return _criterion_radical(group, classes, SOLVABLE_RADICAL, test)
 
 
@@ -684,6 +680,7 @@ def class_pair_solvability(
     representatives, class by class in canonical order.  Raises
     BudgetExceededError before a class that would take the pair count
     past `budget`."""
+    _require_classes_of(group, classes)
     checked = 0
     for cls in classes:
         rep = cls.representative
@@ -726,6 +723,7 @@ def thompson_test(
     _check_element_cap(group.order, element_cap)
     if classes is None:
         classes = conjugacy_classes(group, element_cap)
+    _require_classes_of(group, classes)
     # the classes share one numbering of the whole group, in sorted order,
     # and classes[c] is the walk whose id is c
     table = classes[0]._table
@@ -805,8 +803,7 @@ def prime_order_elements(classes: list[ConjugacyClass]) -> list[ElementProfile]:
     """One profile per class whose representative has prime order > 3."""
     out = []
     for cls in classes:
-        rep = cls.representative
-        n = rep.order()
-        if is_prime(n) and n > 3:
-            out.append(ElementProfile(rep, n))
+        n = cls.representative.order()
+        if _prime_gt3(n):
+            out.append(ElementProfile(cls.representative, n))
     return out

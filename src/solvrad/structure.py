@@ -11,10 +11,11 @@ The predicates settle what the group order settles before computing a
 series (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
 Burnside's p^a q^b theorem a group whose order has at most two prime
 divisors is solvable, and a group of prime-power order is nilpotent.  The
-series functions always compute every term.
+series functions always compute every term, and keep nothing.
 
-Each group keeps its predicate verdicts (`Bsgs._solvable`, `_nilpotent`),
-so a predicate computes once per group object.  A subgroup of a group's
+Each group keeps the order of its solvable residual (`Bsgs._residual`),
+which decides its solvability, and its nilpotency verdict (`_nilpotent`),
+so each is computed once per group object.  A subgroup of a group's
 order is the group, so where a build may come out whole the caller asks
 the group itself (`_whole_or`), and every such build shares its verdict.
 """
@@ -67,9 +68,7 @@ def derived_subgroup(h: Bsgs) -> Bsgs:
 
 
 def derived_series(h: Bsgs) -> SeriesResult:
-    """H >= [H,H] >= [[H,H],[H,H]] >= ... until trivial or repeated.  The
-    series decides whether H is solvable, so it fills H's solvability
-    verdict when that is not yet known."""
+    """H >= [H,H] >= [[H,H],[H,H]] >= ... until trivial or repeated."""
     terms = [h]
     while True:
         nxt = derived_subgroup(terms[-1])
@@ -77,8 +76,6 @@ def derived_series(h: Bsgs) -> SeriesResult:
         if nxt.order == 1 or nxt.order == terms[-2].order:
             break
     terminated = nxt.order == 1
-    if h._solvable is None:
-        h._solvable = terminated
     return SeriesResult(terms, terminated=terminated, stabilized=not terminated)
 
 
@@ -107,25 +104,30 @@ def _whole_or(group: Bsgs, sub: Bsgs) -> Bsgs:
 
 
 def is_solvable(h: Bsgs) -> bool:
-    """Whether H is solvable, computed once per group object.
-
-    H is solvable iff [H, H] is, so walk the derived series only until a
-    term's order has at most two prime divisors, which is solvable by
-    Burnside's p^a q^b theorem, or a nontrivial term is perfect, which is
-    not.  `derived_series` still computes every term for reports.
-    """
-    if h._solvable is None:
-        h._solvable = _solvable_by_series(h)
-    return h._solvable
+    """Whether H is solvable: whether its solvable residual is trivial."""
+    return solvable_residual_order(h) == 1
 
 
-def _solvable_by_series(h: Bsgs) -> bool:
+def solvable_residual_order(h: Bsgs) -> int:
+    """The order of H's solvable residual, the last term of its derived
+    series, computed once per group object.  The walk down the series stops
+    at a perfect term, the residual, or at a term whose order has at most
+    two prime divisors, which is solvable by Burnside's p^a q^b theorem, so
+    the residual is trivial.  Every term of a nonsolvable group contains its
+    nontrivial perfect residual, whose order has three prime divisors, so
+    only a solvable group's walk stops at the order test."""
+    if h._residual is None:
+        h._residual = _residual_by_series(h)
+    return h._residual
+
+
+def _residual_by_series(h: Bsgs) -> int:
     while len(_prime_divisors(h)) > 2:
         d = derived_subgroup(h)
         if d.order == h.order:
-            return False
+            return h.order
         h = d
-    return True
+    return 1
 
 
 def lower_central_series(h: Bsgs) -> SeriesResult:

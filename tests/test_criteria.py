@@ -10,6 +10,7 @@ from solvrad.bsgs import (
     build_bsgs,
     centralizer,
     class_of,
+    conjugacy_classes,
     random_element,
 )
 from solvrad.criteria import (
@@ -264,6 +265,8 @@ class TestBudgetBelowOne:
         for radical in (two_conjugate_radical, four_conjugate_radical):
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 radical(g, classes, mode, 0)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            baer_suzuki_set(g, classes, 0)
 
     def test_witness_search_refuses(self, group_of):
         with pytest.raises(ValueError, match="budget must be >= 1"):
@@ -458,6 +461,39 @@ class TestGivenClass:
             conjugate(g, x) for x in expected.witness.conjugators
         ]
         assert_witness_regenerates(group, g, got.witness)
+
+    @pytest.mark.parametrize("foreign", ["S(5)", "A(5) built again"])
+    @pytest.mark.parametrize(
+        "criterion, mode",
+        [
+            ("bs", EXHAUSTIVE),
+            ("four", EXHAUSTIVE),
+            ("four", RANDOMIZED),
+            ("two", EXHAUSTIVE),
+            ("two", RANDOMIZED),
+            ("pairs", EXHAUSTIVE),
+            ("thompson", EXHAUSTIVE),
+        ],
+    )
+    def test_classes_of_another_group_are_refused(
+        self, criterion, mode, foreign, group_of, classes_of
+    ):
+        """Before, S(5)'s classes gave A(5) a trivial Fitting radical and a
+        class-pair verdict, and a second build's classes ran every scan."""
+        group = group_of("A(5)")
+        if foreign == "S(5)":
+            classes = classes_of("S(5)")
+        else:
+            classes = conjugacy_classes(build_bsgs(GeneratorSet(5, group.generators)))
+        run = {
+            "bs": lambda: baer_suzuki_set(group, classes),
+            "four": lambda: four_conjugate_radical(group, classes, mode),
+            "two": lambda: two_conjugate_radical(group, classes, mode),
+            "pairs": lambda: class_pair_solvability(group, classes),
+            "thompson": lambda: thompson_test(group, group.order, classes),
+        }[criterion]
+        with pytest.raises(MembershipError, match="class of another group"):
+            run()
 
 
 class TestClassPairSolvability:

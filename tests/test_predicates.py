@@ -13,10 +13,11 @@ whose orders have three prime divisors, where the predicates still compute.
 Each group keeps its predicate verdicts, and a build of a group's order
 asks the group itself.  The context test checks that one `GroupContext`
 then runs each predicate's series at most once on a group of its order,
-across its oracles and the scans of `bs`, `four` and `two`, and that the
-derived series that `pairs` and `thompson` report is the one derivation of
-the group, whose verdict their scans read.  The property test checks a
-kept verdict against a fresh one on an equal rebuilt group.
+across its oracles and the scans of `bs`, `four` and `two`, and that
+`pairs` and `thompson`, run after `two` as in the default battery, read
+the solvable residual the group keeps, so [G, G] is derived at most once.
+The property tests check the residual against the full derived series,
+and a kept verdict against a fresh one on an equal rebuilt group.
 """
 
 from collections import Counter
@@ -50,6 +51,7 @@ from solvrad.structure import (
     is_solvable,
     lower_central_series,
     solvable_radical_oracle,
+    solvable_residual_order,
 )
 
 # all-pairs commutators (bf.is_solvable_set) stay cheap up to this order
@@ -90,6 +92,9 @@ def test_predicates_series_and_radicals_match_brute_force(gens):
     solvable = derived_orders[-1] == 1
     nilpotent = lower_orders[-1] == 1
     assert is_solvable(group) == solvable == derived.terminated
+    assert solvable_residual_order(group) == (
+        1 if derived.terminated else derived.terms[-1].order
+    )
     assert is_nilpotent(group) == nilpotent == lower.terminated
     if group.order <= ALL_PAIRS_MAX_ORDER:
         assert solvable == bf.is_solvable_set(els, degree)
@@ -148,14 +153,14 @@ def test_a_kept_verdict_equals_a_fresh_one_on_a_rebuilt_group(gens):
     degree = gens[0].degree
     group = build_bsgs(GeneratorSet(degree, gens))
     first = (is_solvable(group), is_nilpotent(group))
-    assert (group._solvable, group._nilpotent) == first
+    assert (group._residual == 1, group._nilpotent) == first
     # asked again, the group answers from its verdicts
     assert (is_solvable(group), is_nilpotent(group)) == first
     # the same group, built from the generators in another order, has no
     # verdicts yet and computes them afresh
     rebuilt = build_bsgs(GeneratorSet(degree, gens[::-1]))
     assert rebuilt.order == group.order
-    assert rebuilt._solvable is rebuilt._nilpotent is None
+    assert rebuilt._residual is rebuilt._nilpotent is None
     assert (is_solvable(rebuilt), is_nilpotent(rebuilt)) == first
     assert first == (
         derived_series(group).terminated, lower_central_series(group).terminated
@@ -198,17 +203,23 @@ def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
     assert asked["lower_central_series", order] == 1
 
 
-@pytest.mark.parametrize("spec", ["A(5)", "PSL2(7)", "file:sz8.json"])
+@pytest.mark.parametrize("spec", ["A(5)", "PSL2(7)", "file:sz8.json", "S(4)"])
 def test_whole_group_theorems_derive_the_group_once(spec, monkeypatch):
-    # the derived series that `pairs` and `thompson` report fills the
-    # group's solvability verdict, which their scans then read
+    # in the default battery's order, `two` asks the group's solvability
+    # first, and `pairs` and `thompson` read the residual it keeps; S(4)'s
+    # order settles its solvability, so nothing is derived
     ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
     asked = Counter()
     _record_series(monkeypatch, asked, "derived_subgroup")
-    for theorem in ("pairs", "thompson"):
+    solvable = spec == "S(4)"
+    for theorem in ("two", "pairs", "thompson"):
         code, report = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)
         assert code == EXIT_OK
-        assert report.details["criterion_holds"] is False
-        assert report.details["group_is_solvable"] is False
-    assert ctx.group._solvable is False
-    assert asked["derived_subgroup", ctx.group.order] == 1
+        if theorem != "two":
+            assert report.details["criterion_holds"] is solvable
+            assert report.details["group_is_solvable"] is solvable
+    assert ctx.group._residual == (1 if solvable else ctx.group.order)
+    if solvable:
+        assert sum(asked.values()) == 0
+    else:
+        assert asked["derived_subgroup", ctx.group.order] == 1

@@ -292,7 +292,7 @@ def test_a_nilpotency_failure_on_the_whole_solvable_group_is_solvable(spec):
     ]
     assert witnesses
     assert all(w.solvable and not w.nilpotent for w in witnesses)
-    assert (group._solvable, group._nilpotent) == (True, False)
+    assert (group._residual, group._nilpotent) == (1, False)
 
 
 @pytest.mark.parametrize("spec", ["A(5)", "S(5)", "PSL2(7)"])

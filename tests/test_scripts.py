@@ -1,0 +1,45 @@
+"""Smoke runs of the development scripts.
+
+`scripts/class_phases.py` reads `bsgs` internals (`_row_points`,
+`_enumerate_raw`, `_sorted_rows`, `_Numbering`), so a change to them that
+the script does not follow shows here.  `scripts/gen_sz8_fixture.py` is not
+run: it writes the shipped Sz(8) fixture.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CLASS_PHASES = ROOT / "scripts" / "class_phases.py"
+
+
+@pytest.mark.parametrize(
+    "args, labels",
+    [
+        (
+            ["A(5)"],
+            ["rows", "sort", "index", "walks", "centralizers", "count",
+             "first-k", "all reps", "peak RSS"],
+        ),
+        (
+            ["A(6)", "--element", "(1,2,3,4,5)"],
+            ["class_of", "centralizer", "total", "peak RSS"],
+        ),
+    ],
+    ids=["classes", "element"],
+)
+def test_class_phases_runs(args, labels):
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, str(CLASS_PHASES), *args, "--repeat", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.strip().split("  ")[0] for line in proc.stdout.splitlines()[1:]]
+    assert printed == labels

@@ -29,7 +29,6 @@ from solvrad.structure import (
     ORACLE,
     SOLVABLE_RADICAL,
     RadicalResult,
-    SeriesResult,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
@@ -99,8 +98,8 @@ def whole_group(kind):
 
 
 def solvable(group):
-    """A stand-in derived series that wrongly ends at the identity."""
-    return SeriesResult([group], terminated=True, stabilized=False)
+    """A stand-in solvable residual that is wrongly trivial."""
+    return 1
 
 
 @pytest.mark.parametrize(
@@ -113,8 +112,8 @@ def solvable(group):
          "solvable_radical_oracle", whole_group(SOLVABLE_RADICAL)),
         (["two", "--randomized", "--budget", "50"],
          "solvable_radical_oracle", whole_group(SOLVABLE_RADICAL)),
-        (["pairs"], "derived_series", solvable),
-        (["thompson"], "derived_series", solvable),
+        (["pairs"], "solvable_residual_order", solvable),
+        (["thompson"], "solvable_residual_order", solvable),
     ],
     ids=lambda p: " ".join(p) if isinstance(p, list) else None,
 )
