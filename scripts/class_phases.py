@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Phase times of the conjugacy-class build and the orbit representatives.
+"""Phase times of the conjugacy-class build, the orbit representatives
+and the radical oracles.
 
 For one group spec, runs the steps of `bsgs.conjugacy_classes` one by one,
-then what a criterion scan asks of each nontrivial class, and prints the
+then what a criterion scan asks of each class of more than one member (a
+one-member class is its own only orbit representative), and prints the
 best time of each phase over the repetitions:
 
     rows        the transversal products' images of the row points P
@@ -18,9 +20,12 @@ best time of each phase over the repetitions:
     first-k     the first k orbit representatives of every class, on a
                 fresh stream
     all reps    every orbit representative of every class
+    oracles     the Fitting and solvable-radical oracles on the classes,
+                with the number of class normal closures they build
 
 together with |P|, how many elements the class build rebuilt from their
-rows, and the peak RSS of the process.
+rows, and the peak RSS of the process.  Each repetition builds the group
+afresh, so the oracles decide the group's own verdicts anew.
 
 With --element CYCLES it builds no class table and times instead, for the
 one element g, `class_of(G, g)` and the centralizer C_G(g) read from that
@@ -49,16 +54,18 @@ from solvrad.bsgs import (  # noqa: E402
     _Numbering,
     _row_points,
     _sorted_rows,
+    Bsgs,
     build_bsgs,
     centralizer,
     class_of,
 )
 from solvrad.perm import parse_cycles  # noqa: E402
+from solvrad.structure import fitting_oracle, solvable_radical_oracle  # noqa: E402
 from solvrad.zoo import construct  # noqa: E402
 
 PHASES = (
     "rows", "sort", "index", "walks", "centralizers", "count", "first-k",
-    "all reps",
+    "all reps", "oracles",
 )
 
 
@@ -88,7 +95,7 @@ def one_run(group, k: int) -> dict:
     times["walks"] = clock() - t
     times["points"] = len(points)
     times["rebuilt"] = 0 if table.elements is rows else len(table.elements)
-    tested = [c for c in classes if not c.representative.is_identity()]
+    tested = [c for c in classes if c.class_size > 1]
 
     t = clock()
     cents = [c.centralizer for c in tested]
@@ -107,6 +114,12 @@ def one_run(group, k: int) -> dict:
     for c, cz in zip(tested, cents):
         list(c.orbit_reps_under(cz))
     times["all reps"] = clock() - t
+
+    t = clock()
+    fitting_oracle(group, classes)
+    solvable_radical_oracle(group, classes)
+    times["oracles"] = clock() - t
+    times["closures"] = sum(c._normal_closure is not None for c in classes)
 
     times["classes"] = len(classes)
     times["orbit reps"] = sum(counts)
@@ -143,7 +156,8 @@ def main(argv=None) -> int:
                         "element instead of the class build")
     args = parser.parse_args(argv)
 
-    group = build_bsgs(construct(args.spec))
+    gens = construct(args.spec)
+    group = build_bsgs(gens)
     if args.element is not None:
         g = parse_cycles(args.element, group.degree)
         if not group.contains(g):
@@ -159,14 +173,17 @@ def main(argv=None) -> int:
     if group.order > args.element_cap:
         print(f"order {group.order} exceeds --element-cap {args.element_cap}")
         return 3
-    runs = [one_run(group, args.first) for _ in range(args.repeat)]
+    runs = [one_run(Bsgs(gens), args.first) for _ in range(args.repeat)]
     print(f"{args.spec}: order {group.order}, {runs[0]['classes']} classes, "
           f"{runs[0]['orbit reps']} orbit representatives; "
           f"{runs[0]['points']} of {group.degree} row points, "
           f"{runs[0]['rebuilt']} elements rebuilt by the class build; "
           f"best of {args.repeat}, first-k with k = {args.first}")
     for phase in PHASES:
-        print(f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms")
+        line = f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms"
+        if phase == "oracles":
+            line += f", {runs[0]['closures']} class closures"
+        print(line)
     print_rss()
     return 0
 

@@ -727,12 +727,15 @@ class ConjugacyClass:
     The class also computes, once and on first use, what a criterion scan of
     it needs: `centralizer`, C_G(rep) from the class's walk, and `orbit_reps`,
     the lazily produced ascending smallest members of the C_G(rep)-orbits
-    on the class, with their count.
+    on the class, with their count.  A one-member class is one orbit under
+    any group, so its `orbit_reps` walk it under G itself, which is C_G(rep),
+    and build no centralizer.  And what a radical oracle asks of it:
+    `normal_closure`, <<rep>>, or G itself when that is its order.
     """
 
     __slots__ = (
         "representative", "_table", "_members", "_root", "_root_conj", "degree",
-        "_centralizer", "_orbit_reps",
+        "_centralizer", "_orbit_reps", "_normal_closure",
     )
 
     def __init__(self, table: _Numbering, members: list[int], root: int):
@@ -748,7 +751,7 @@ class ConjugacyClass:
             conj = _inv(table.conjugator(rep, {root: conj}))
         self._root_conj = conj
         self.representative = Permutation._from_raw(table.elements[rep])
-        self._centralizer = self._orbit_reps = None
+        self._centralizer = self._orbit_reps = self._normal_closure = None
 
     @property
     def _elements_raw(self) -> list[tuple]:
@@ -768,8 +771,20 @@ class ConjugacyClass:
     @property
     def orbit_reps(self) -> _OrbitReps:
         if self._orbit_reps is None:
-            self._orbit_reps = self.orbit_reps_under(self.centralizer)
+            central = len(self._members) == 1
+            cent = self._table.group if central else self.centralizer
+            self._orbit_reps = self.orbit_reps_under(cent)
         return self._orbit_reps
+
+    @property
+    def normal_closure(self) -> Bsgs:
+        """<<rep>>, or the group itself, with its kept verdicts, when the
+        closure has the group's order; built once."""
+        if self._normal_closure is None:
+            group = self._table.group
+            sub = normal_closure(group, [self.representative])
+            self._normal_closure = group if sub.order == group.order else sub
+        return self._normal_closure
 
     def orbit_reps_under(self, cent: Bsgs) -> _OrbitReps:
         """The C-orbit representatives on the class for C = C_G(g), g a

@@ -16,14 +16,15 @@ randomized, keeps a cover for the element g it scans: the passing subgroups
 lie in one cover group passes without a build of its own, and the cover
 remembers which conjugates each group contains, so no conjugate is sifted
 through one group twice.  A tuple of powers of g generates the cyclic <g>
-and passes without a build, and so does Thompson's identity class, whose
-pairs <1, y> = <y> are cyclic.  A tuple whose members commute with g and
+and passes without a build.  A tuple whose members commute with g and
 with each other generates an abelian group, which is solvable and
-nilpotent, so it passes without a build too.  An exhaustive scan of
-several conjugates, such as the four-conjugate test's three, extends each
-orbit representative by one class member per level, in lexicographic
-order: each prefix gets the same checks as a whole tuple, and a failing
-prefix fails with every completion, so it is reported with its first.
+nilpotent, so it passes without a build too, and so does a Thompson class
+of one member: its representative is central, so its pairs are abelian.
+An exhaustive scan of several conjugates, such as the four-conjugate
+test's three, extends each orbit representative by one class member per
+level, in lexicographic order: each prefix gets the same checks as a
+whole tuple, and a failing prefix fails with every completion, so it is
+reported with its first.
 Every skipped candidate really passes, so the first failure in canonical
 order, its witness and the logical counters are those of the unpruned
 scan.  A randomized search reads every sample of its seeded stream of
@@ -608,13 +609,7 @@ def baer_suzuki_set(
     nilpotent radical.  Each class scans at most `budget` orbit
     representatives."""
     scan = _class_test(group, 1, EXHAUSTIVE, budget, 0, nilpotent=True)
-
-    def test(rep, cls):
-        if rep.is_identity():
-            return CriterionVerdict(rep, True, None, EXHAUSTIVE, 1)
-        return scan(rep, cls)
-
-    return _criterion_radical(group, classes, FITTING, test)
+    return _criterion_radical(group, classes, FITTING, scan)
 
 
 def two_conjugate_radical(
@@ -732,9 +727,9 @@ def thompson_test(
     for c, cls in enumerate(classes):
         later = [j for j in later if table.cid[j] >= c]
         rep = cls.representative
-        if rep.is_identity():
-            # every <1, y> = <y> is cyclic: pass the class without walking
-            # the orbits of C_G(1) = G on the elements, the classes again
+        if cls.class_size == 1:
+            # rep is central, so every <rep, y> is abelian: pass the class
+            # without walking the orbits of C_G(rep) = G on the elements
             checked += group.order
             continue
         ys = _OrbitReps(table, later, cls.centralizer)

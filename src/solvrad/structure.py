@@ -4,8 +4,11 @@ conjugate-generation criteria are verified against.
 
 Membership in the solvable radical is equivalent to solvability of one's
 normal closure (and likewise, nilpotent radical / nilpotent closure), and
-that membership is a class function, so the oracles iterate over conjugacy
-class representatives and take the normal closure of the qualifying ones.
+that membership is a class function, so the oracles decide it per conjugacy
+class.  The radicals are normal subgroups, so a group that passes is its own
+radical, and a class is settled by a decided class of one of its powers
+where it can be; only the rest build their representative's normal closure,
+which the class keeps.
 
 The predicates settle what the group order settles before computing a
 series (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
@@ -23,10 +26,11 @@ the group itself (`_whole_or`), and every such build shares its verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
-from .bsgs import Bsgs, ConjugacyClass, normal_closure
-from .perm import Permutation, commutator
+from .bsgs import Bsgs, ConjugacyClass, _getter, normal_closure
+from .perm import Permutation, _mul, commutator
 
 SOLVABLE_RADICAL = "solvable_radical"
 FITTING = "fitting"
@@ -83,17 +87,20 @@ def _prime_divisors(h: Bsgs) -> set[int]:
     """The primes dividing |H|, read from its basic orbit lengths: their
     product is |H| and each is at most the degree, so trial division is
     short."""
-    primes = set()
-    for t in h._chain.transversals:
-        n, p = len(t), 2
-        while p * p <= n:
-            if n % p == 0:
-                primes.add(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.add(n)
+    return set().union(*map(_primes_of, map(len, h._chain.transversals)))
+
+
+def _primes_of(n: int) -> set[int]:
+    """The primes dividing n, by trial division."""
+    primes, p = set(), 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
     return primes
 
 
@@ -177,19 +184,60 @@ def fitting_oracle(group: Bsgs, classes: list[ConjugacyClass]) -> RadicalResult:
 
 
 def _radical_oracle(group, classes, predicate, kind) -> RadicalResult:
-    """A normal closure with the group's order is the group itself, so the
-    predicate asks `group`, whose verdict the scans on it share."""
+    """The radical of `predicate` over `classes`, the group's conjugacy
+    classes, and its member classes' representatives, in class order.
+
+    The radical is a normal subgroup, so a group that passes is its own
+    radical, and every class is a member without a closure.  Otherwise a
+    class is settled, in class order, from its powers where it can be: x is
+    out when some x^p, p a prime dividing ord(x), lies in a class already
+    out.  Only then is <<x>> built (once per class, kept by the class; the
+    group itself when whole, so its verdict is the group's).  Its verdict
+    passes to every undecided class of a power x^k: to those with
+    gcd(k, ord(x)) = 1, which have the same closure, and to all of them when
+    x is a member.  So each closure built costs at most ord(x) products."""
+    if predicate(group):
+        reps = [cls.representative for cls in classes]
+        return RadicalResult(group, kind, reps, ORACLE)
+    table = classes[0]._table
+    key, pos, cid = _getter(group._chain.base), table.pos, table.cid
+
+    def class_id(y):
+        return cid[pos[key(y)]]
+
+    inside = [None] * len(table.sizes)  # by class id: member, out, undecided
     member_reps = []
     for cls in classes:
         rep = cls.representative
-        if rep.is_identity() or predicate(
-            _whole_or(group, normal_closure(group, [rep]))
-        ):
+        c, x, n = cid[cls._root], rep._img, rep.order()
+        if inside[c] is None:
+            if any(inside[class_id(_power(x, p))] is False for p in _primes_of(n)):
+                inside[c] = False
+            else:
+                inside[c] = verdict = n == 1 or predicate(cls.normal_closure)
+                y = x
+                for k in range(2, n):
+                    y = _mul(y, x)
+                    d = class_id(y)
+                    if inside[d] is None and (verdict or gcd(k, n) == 1):
+                        inside[d] = verdict
+        if inside[c]:
             member_reps.append(rep)
-    subgroup = normal_closure(group, member_reps)
     return RadicalResult(
-        subgroup=subgroup,
+        subgroup=normal_closure(group, member_reps),
         kind=kind,
         member_class_reps=member_reps,
         method=ORACLE,
     )
+
+
+def _power(x: tuple, e: int) -> tuple:
+    """x^e for e >= 1, by repeated squaring."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else _mul(result, x)
+        e >>= 1
+        if e:
+            x = _mul(x, x)
+    return result

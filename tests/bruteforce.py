@@ -212,14 +212,25 @@ def lower_central_orders(gens, degree):
 
 def radical_set(gens, degree, terminates):
     """The largest normal subgroup whose series `terminates(gens, degree)`
-    reaches 1: the union of the classes whose normal closure (the span of
-    the class) qualifies, since a normal subgroup with the property holds
-    the closure of each of its elements.  Classes are conjugation orbits
-    under the generators."""
+    reaches 1, as the union of its classes (see class_verdicts)."""
+    return {
+        x
+        for orbit, (member,) in class_verdicts(gens, degree, [terminates])
+        if member
+        for x in orbit
+    }
+
+
+def class_verdicts(gens, degree, tests):
+    """Each conjugacy class of the group `gens` generate, in ascending order
+    of its smallest member, with the verdict of each of `tests` on the
+    class's normal closure, the span of the class, built once per class.  A
+    normal subgroup with a test's property holds the closure of each of its
+    elements, so the classes that pass a test make up its radical.  Classes
+    are conjugation orbits under the generators."""
     els, gens = span_with_gens(gens, degree)
     remaining = set(els)
-    members = []
-    verdicts = {}  # normal closure -> verdict, for closures met again
+    verdicts = {}  # normal closure -> verdicts, for closures met again
     while remaining:
         orbit = {min(remaining)}
         frontier = list(orbit)
@@ -235,10 +246,21 @@ def radical_set(gens, degree, terminates):
             closure_gens = gens
         key = frozenset(closure_els)
         if key not in verdicts:
-            verdicts[key] = terminates(closure_gens, degree)
-        if verdicts[key]:
-            members.extend(orbit)
-    return set(members)
+            verdicts[key] = [test(closure_gens, degree) for test in tests]
+        yield orbit, verdicts[key]
+
+
+def radical_reps(gens, degree, tests):
+    """For each of `tests`, the smallest members of the classes in its
+    radical, ascending, and the radical's order: one normal closure per
+    class (see class_verdicts)."""
+    out = [([], [0]) for _ in tests]
+    for orbit, verdicts in class_verdicts(gens, degree, tests):
+        for (reps, order), member in zip(out, verdicts):
+            if member:
+                reps.append(min(orbit))
+                order[0] += len(orbit)
+    return [(reps, order) for reps, (order,) in out]
 
 
 def prime_divisors(n):

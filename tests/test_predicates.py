@@ -20,7 +20,9 @@ The property tests check the residual against the full derived series,
 and a kept verdict against a fresh one on an equal rebuilt group.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,8 @@ from solvrad.criteria import (
     two_conjugate_radical,
 )
 from solvrad.perm import Permutation
+from solvrad.zoo import construct
+from test_scan_pruning import RANDOM_GENS
 from solvrad.structure import (
     _whole_or,
     derived_series,
@@ -105,6 +109,42 @@ def test_predicates_series_and_radicals_match_brute_force(gens):
     fitting = fitting_oracle(group, classes).subgroup
     assert elements_of(radical) == bf.radical_set(raw, degree, bf.solvable_by_orders)
     assert elements_of(fitting) == bf.radical_set(raw, degree, bf.nilpotent_by_orders)
+
+
+def assert_oracles_match_reference(group, raw):
+    """Both oracles, the Fitting one first, on one class list, against
+    bruteforce's one normal closure per class: the same member class
+    representatives and the same radical order."""
+    classes = conjugacy_classes(group)
+    want = bf.radical_reps(
+        raw, group.degree, [bf.nilpotent_by_orders, bf.solvable_by_orders]
+    )
+    for oracle, (reps, order) in zip((fitting_oracle, solvable_radical_oracle), want):
+        got = oracle(group, classes)
+        assert [p.images for p in got.member_class_reps] == reps
+        assert got.subgroup.order == order
+
+
+# the default battery's groups, and direct products with many central
+# classes, which the oracles settle from powers
+BATTERY = Path(structure.__file__).parent / "data" / "default_battery.json"
+ORACLE_SPECS = sorted(
+    {e["spec"] for e in json.loads(BATTERY.read_text())["entries"] if "spec" in e}
+) + ["direct(C(12),A(5))", "direct(C(31),A(5))"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_oracles_match_one_closure_per_class(spec):
+    gens = construct(spec)
+    group = Bsgs(gens)  # fresh: no verdict or closure kept from another test
+    assert_oracles_match_reference(group, [p.images for p in gens.generators])
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_GENS)
+def test_oracles_match_one_closure_per_class_on_random_groups(gens):
+    group = build_bsgs(GeneratorSet(gens[0].degree, gens))
+    assert_oracles_match_reference(group, [p.images for p in gens])
 
 
 # Each group's order has three prime divisors (60, 120, 168, 300), and so

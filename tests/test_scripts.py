@@ -1,8 +1,9 @@
 """Smoke runs of the development scripts.
 
 `scripts/class_phases.py` reads `bsgs` internals (`_row_points`,
-`_enumerate_raw`, `_sorted_rows`, `_Numbering`), so a change to them that
-the script does not follow shows here.  `scripts/gen_sz8_fixture.py` is not
+`_enumerate_raw`, `_sorted_rows`, `_Numbering`, a class's kept
+`_normal_closure`), so a change to them that the script does not follow
+shows here.  `scripts/gen_sz8_fixture.py` is not
 run: it writes the shipped Sz(8) fixture.
 """
 
@@ -23,7 +24,7 @@ CLASS_PHASES = ROOT / "scripts" / "class_phases.py"
         (
             ["A(5)"],
             ["rows", "sort", "index", "walks", "centralizers", "count",
-             "first-k", "all reps", "peak RSS"],
+             "first-k", "all reps", "oracles", "peak RSS"],
         ),
         (
             ["A(6)", "--element", "(1,2,3,4,5)"],

@@ -3,7 +3,9 @@ import math
 import pytest
 
 import bruteforce as bf
-from solvrad.bsgs import enumerate_elements
+import solvrad.bsgs
+import solvrad.structure
+from solvrad.bsgs import Bsgs, conjugacy_classes, enumerate_elements
 from solvrad.perm import parse_cycles
 from solvrad.structure import (
     ORACLE,
@@ -16,6 +18,7 @@ from solvrad.structure import (
     lower_central_series,
     solvable_radical_oracle,
 )
+from solvrad.zoo import construct
 
 SMALL_SPECS = [
     "S(3)", "S(4)", "S(5)", "A(4)", "A(5)", "C(12)", "D(4)", "D(6)",
@@ -193,3 +196,76 @@ class TestRadicalOracles:
         g = group_of("direct(C(5),A(5))")
         r = solvable_radical_oracle(g, classes_of("direct(C(5),A(5))"))
         assert all(r.subgroup.contains(rep) for rep in r.member_class_reps)
+
+
+class ClosureLog:
+    """Every normal closure the oracles build, as its seeds, through the
+    names `bsgs` (a class's own closure) and `structure` (the radical and
+    the series) call it by."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = solvrad.bsgs.normal_closure
+
+        def logged(group, seeds):
+            self.calls.append(list(seeds))
+            return real(group, seeds)
+
+        for module in (solvrad.bsgs, solvrad.structure):
+            monkeypatch.setattr(module, "normal_closure", logged)
+
+    def of_classes(self, classes):
+        """The representatives whose own closure was built: a call on one
+        nontrivial class's representative object (the radical of a group
+        whose only member class is the identity's has the same seeds)."""
+        reps = {id(c.representative) for c in classes[1:]}
+        return [s[0] for s in self.calls if len(s) == 1 and id(s[0]) in reps]
+
+
+def fresh(spec):
+    """A new group object and its classes: no verdict or closure kept."""
+    group = Bsgs(construct(spec))
+    return group, conjugacy_classes(group)
+
+
+class TestOracleClosures:
+    # one closure per class decided by its own: Sz(8)'s 4A and 4B square
+    # into 2A, and the classes of one cyclic subgroup's generators (7ABC,
+    # 13ABC, and (c, a) in C(5) x A(5)) share a closure; the central
+    # classes of C(n) x A(5) are powers of one generator's class, and the
+    # other products' n-th powers lie in A(5)'s classes, already out
+    @pytest.mark.parametrize(
+        "spec, built",
+        [("file:sz8.json", 4), ("direct(C(5),A(5))", 6), ("direct(C(31),A(5))", 4)],
+    )
+    @pytest.mark.parametrize("oracle", [solvable_radical_oracle, fitting_oracle])
+    def test_classes_settled_from_powers(self, spec, built, oracle, monkeypatch):
+        group, classes = fresh(spec)
+        log = ClosureLog(monkeypatch)
+        oracle(group, classes)
+        assert len(log.of_classes(classes)) == built
+
+    def test_a_passing_group_builds_no_closure(self, monkeypatch):
+        group, classes = fresh("direct(S(4),S(4))")
+        log = ClosureLog(monkeypatch)
+        r = solvable_radical_oracle(group, classes)
+        assert log.calls == []  # nor the radical's, nor a series term
+        assert r.subgroup is group
+        assert r.member_class_reps == [c.representative for c in classes]
+
+    @pytest.mark.parametrize("spec", ["direct(S(4),A(5))", "file:sz8.json"])
+    def test_oracles_share_each_class_closure(self, spec, monkeypatch):
+        group, classes = fresh(spec)
+        log = ClosureLog(monkeypatch)
+        fitting = fitting_oracle(group, classes)
+        first = log.of_classes(classes)
+        log.calls.clear()
+        radical = solvable_radical_oracle(group, classes)
+        assert first and not set(map(id, first)) & set(map(id, log.of_classes(classes)))
+        # the shared closures give each oracle its own answer
+        for oracle, got in ((fitting_oracle, fitting), (solvable_radical_oracle, radical)):
+            want = oracle(*fresh(spec))
+            assert [p.images for p in got.member_class_reps] == [
+                p.images for p in want.member_class_reps
+            ]
+            assert got.subgroup.order == want.subgroup.order

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import solvrad.bsgs
 import solvrad.cli
 import solvrad.criteria
 from solvrad import build_bsgs, construct, parse_cycles
@@ -87,6 +88,29 @@ def test_report_matches_golden(capsys, i):
     code, report = run(capsys, case["argv"])
     assert code == case["exit_code"]
     assert report == case["report"]
+
+
+# reports recorded while a one-member class still built its centralizer,
+# C_G(z) = G, for its one orbit representative; no report may move
+CENTRAL_GOLDEN = Path(__file__).parent / "data" / "central_class_golden.json"
+
+
+@pytest.mark.parametrize("i", range(2), ids=["four", "thompson"])
+def test_central_classes_build_no_centralizer(capsys, monkeypatch, i):
+    case = json.loads(CENTRAL_GOLDEN.read_text())[i]
+    built = []
+    real = solvrad.bsgs.centralizer
+
+    def logged(group, x, cls=None):
+        built.append(all(x * s == s * x for s in group.generators))
+        return real(group, x, cls)
+
+    for module in (solvrad.bsgs, solvrad.criteria):
+        monkeypatch.setattr(module, "centralizer", logged)
+    code, report = run(capsys, case["argv"])
+    assert code == case["exit_code"]
+    assert report == case["report"]
+    assert built and not any(built)  # centralizers, of no central element
 
 
 def whole_group(kind):
