@@ -159,7 +159,8 @@ def try_candidate(norm, swap):
     return perms, G
 
 
-def main():
+def fixture() -> dict:
+    """The Sz(8) group file, as a JSON document."""
     found = None
     for norm, swap in itertools.product((norm_a, norm_b), (True, False)):
         r = try_candidate(norm, swap)
@@ -195,7 +196,7 @@ def main():
     H = build_bsgs(GeneratorSet(65, list(pair)))
     assert H.order == 29120
 
-    doc = {
+    return {
         "format_version": 1,
         "name": "Sz(8)",
         "degree": 65,
@@ -210,6 +211,10 @@ def main():
             "transitivity, perfectness and nonsolvability."
         ),
     }
+
+
+def main():
+    doc = fixture()
     out = Path(__file__).resolve().parent.parent / "src" / "solvrad" / "data" / "sz8.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print("wrote", out)

@@ -43,13 +43,10 @@ from .bsgs import (
 )
 from .structure import (
     RadicalResult,
-    SeriesResult,
-    derived_series,
     derived_subgroup,
     fitting_oracle,
     is_nilpotent,
     is_solvable,
-    lower_central_series,
     solvable_radical_oracle,
 )
 from .criteria import (

@@ -43,6 +43,18 @@ def _identity(n: int) -> tuple:
     return tuple(range(n))
 
 
+def _power(p: tuple, e: int) -> tuple:
+    """Raw p^e for e >= 0, by repeated squaring from the identity."""
+    r = _identity(len(p))
+    while e:
+        if e & 1:
+            r = _mul(r, p)
+        e >>= 1
+        if e:
+            p = _mul(p, p)
+    return r
+
+
 class Permutation:
     """Immutable bijection of {1..n}; hashable, usable as a dict key."""
 
@@ -99,14 +111,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        r = _identity(len(self._img))
-        b = self._img
-        while k:
-            if k & 1:
-                r = _mul(r, b)
-            b = _mul(b, b)
-            k >>= 1
-        return Permutation._from_raw(r)
+        return Permutation._from_raw(_power(self._img, k))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self._img))
@@ -236,16 +241,19 @@ def print_cycles(p: Permutation) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; fine for the element orders and field sizes used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is a prime; False for n < 2."""
+    return _primes_of(n) == {n}
+
+
+def _primes_of(n: int) -> set[int]:
+    """The primes dividing n, by trial division."""
+    primes, p = set(), 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
+    return primes

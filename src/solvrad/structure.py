@@ -1,6 +1,6 @@
-"""Solvability, nilpotency, derived and lower central series, and the
-oracle radicals (largest solvable / nilpotent normal subgroup) that the
-conjugate-generation criteria are verified against.
+"""Solvability, nilpotency, the derived subgroup, and the oracle radicals
+(largest solvable / nilpotent normal subgroup) that the conjugate-generation
+criteria are verified against.
 
 Membership in the solvable radical is equivalent to solvability of one's
 normal closure (and likewise, nilpotent radical / nilpotent closure), and
@@ -10,11 +10,14 @@ radical, and a class is settled by a decided class of one of its powers
 where it can be; only the rest build their representative's normal closure,
 which the class keeps.
 
-The predicates settle what the group order settles before computing a
-series (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
+The predicates settle what the group order settles before computing
+anything (Holt, Eick & O'Brien, Handbook of Computational Group Theory): by
 Burnside's p^a q^b theorem a group whose order has at most two prime
-divisors is solvable, and a group of prime-power order is nilpotent.  The
-series functions always compute every term, and keep nothing.
+divisors is solvable, and a group of prime-power order is nilpotent.  Past
+that, solvability walks the derived series down to the solvable residual,
+and nilpotency is read from the p-parts of the defining generators, since a
+finite group is nilpotent iff it is the direct product of its Sylow
+subgroups.
 
 Each group keeps the order of its solvable residual (`Bsgs._residual`),
 which decides its solvability, and its nilpotency verdict (`_nilpotent`),
@@ -29,23 +32,13 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .bsgs import Bsgs, ConjugacyClass, _getter, normal_closure
-from .perm import Permutation, _mul, commutator
+from .bsgs import Bsgs, ConjugacyClass, GeneratorSet, _getter, normal_closure
+from .perm import Permutation, _mul, _power, _primes_of, commutator
 
 SOLVABLE_RADICAL = "solvable_radical"
 FITTING = "fitting"
 ORACLE = "oracle"
 CRITERION = "criterion"
-
-
-@dataclass
-class SeriesResult:
-    """A descending subgroup chain that either reached the trivial group
-    (terminated) or repeated a nontrivial term (stabilized)."""
-
-    terms: list[Bsgs]
-    terminated: bool
-    stabilized: bool
 
 
 @dataclass
@@ -71,37 +64,11 @@ def derived_subgroup(h: Bsgs) -> Bsgs:
     return normal_closure(h, seeds)
 
 
-def derived_series(h: Bsgs) -> SeriesResult:
-    """H >= [H,H] >= [[H,H],[H,H]] >= ... until trivial or repeated."""
-    terms = [h]
-    while True:
-        nxt = derived_subgroup(terms[-1])
-        terms.append(nxt)
-        if nxt.order == 1 or nxt.order == terms[-2].order:
-            break
-    terminated = nxt.order == 1
-    return SeriesResult(terms, terminated=terminated, stabilized=not terminated)
-
-
 def _prime_divisors(h: Bsgs) -> set[int]:
     """The primes dividing |H|, read from its basic orbit lengths: their
     product is |H| and each is at most the degree, so trial division is
     short."""
     return set().union(*map(_primes_of, map(len, h._chain.transversals)))
-
-
-def _primes_of(n: int) -> set[int]:
-    """The primes dividing n, by trial division."""
-    primes, p = set(), 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.add(n)
-    return primes
 
 
 def _whole_or(group: Bsgs, sub: Bsgs) -> Bsgs:
@@ -137,37 +104,49 @@ def _residual_by_series(h: Bsgs) -> int:
     return 1
 
 
-def lower_central_series(h: Bsgs) -> SeriesResult:
-    """gamma_1 = H, gamma_{i+1} = normal closure of [gamma_i, H]."""
-    h_gens = h.generators
-    terms = [h]
-    while True:
-        seeds = []
-        seen = set()
-        for x in terms[-1].generators:
-            for y in h_gens:
-                c = commutator(x, y)
-                if not c.is_identity() and c not in seen:
-                    seeds.append(c)
-                    seen.add(c)
-        nxt = normal_closure(h, seeds)
-        terms.append(nxt)
-        if nxt.order == 1:
-            return SeriesResult(terms, terminated=True, stabilized=False)
-        if nxt.order == terms[-2].order:
-            return SeriesResult(terms, terminated=False, stabilized=True)
-
-
 def is_nilpotent(h: Bsgs) -> bool:
     """Whether H is nilpotent, computed once per group object: a group of
-    prime-power order is, and otherwise its lower central series must
-    reach 1.  The order test is made on H alone, never on a lower-central
-    term: S(3)'s gamma_2 is C(3), yet S(3) is not nilpotent."""
+    prime-power order is, and otherwise the p-parts of its generators
+    decide (see _nilpotent_by_parts)."""
     if h._nilpotent is None:
-        h._nilpotent = (
-            len(_prime_divisors(h)) <= 1 or lower_central_series(h).terminated
-        )
+        h._nilpotent = len(_prime_divisors(h)) <= 1 or _nilpotent_by_parts(h)
     return h._nilpotent
+
+
+def _nilpotent_by_parts(h: Bsgs) -> bool:
+    """Whether H, generated by X, is the direct product of its Sylow
+    subgroups.  For x in X of order n and each prime p | n, the p-part of x
+    is x_p = x^e, where q is the p-part of n, m = n/q and e = m(m^-1 mod q)
+    mod n, so x is the product of its parts.  H is nilpotent iff parts of
+    distinct primes commute and, for each p, the p-parts X_p generate a
+    p-group: a nilpotent H projects onto its Sylow p-subgroup by x -> x_p,
+    and conversely the product of the <X_p> is then nilpotent and holds X.
+    One p-part generates a cyclic p-group; more are built, bounded by |H|,
+    unless every generator is a p-element, when <X_p> = H."""
+    parts = {}  # prime -> the p-parts of X
+    for x in h._gens_raw:
+        n = Permutation._from_raw(x).order()
+        for p in _primes_of(n):
+            q = p
+            while n % (q * p) == 0:
+                q *= p
+            m = n // q
+            parts.setdefault(p, []).append(_power(x, m * pow(m, -1, q) % n))
+    if len(parts) == 1:  # X = X_p generates H, whose order is no p-power
+        return False
+    primes = list(parts)
+    for i, p in enumerate(primes):
+        for r in primes[i + 1 :]:
+            for a in parts[p]:
+                for b in parts[r]:
+                    if _mul(a, b) != _mul(b, a):
+                        return False
+    for p, xs in parts.items():
+        if len(xs) > 1:
+            gens = GeneratorSet(h.degree, map(Permutation._from_raw, xs))
+            if _prime_divisors(Bsgs(gens, h.order)) != {p}:
+                return False
+    return True
 
 
 def solvable_radical_oracle(
@@ -229,15 +208,3 @@ def _radical_oracle(group, classes, predicate, kind) -> RadicalResult:
         member_class_reps=member_reps,
         method=ORACLE,
     )
-
-
-def _power(x: tuple, e: int) -> tuple:
-    """x^e for e >= 1, by repeated squaring."""
-    result = None
-    while e:
-        if e & 1:
-            result = x if result is None else _mul(result, x)
-        e >>= 1
-        if e:
-            x = _mul(x, x)
-    return result

@@ -180,7 +180,8 @@ def commutators_with(els, gens):
 
 def derived_orders(gens, degree):
     """Orders of H >= [H,H] >= ... down to 1 or to the first repeated
-    order, as `structure.derived_series` stops.  [H,H] is generated by the
+    order, which is that of the solvable residual, as
+    `structure.solvable_residual_order` reads it.  [H,H] is generated by the
     [x, s] with x in H and s in a generating set S of H: conjugating
     [x, s] by y gives [yx, s][y, s]^-1, so that subgroup is normal, and
     modulo it every s is central, so the quotient is abelian."""

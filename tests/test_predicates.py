@@ -1,23 +1,23 @@
-"""The solvability and nilpotency predicates against full series and
-brute force.
+"""The solvability and nilpotency predicates against brute force.
 
 `is_solvable` stops its derived series at a term whose order has at most
-two prime divisors (Burnside's p^a q^b theorem) and `is_nilpotent` passes a
-group of prime-power order without a series, so neither reads every term.
-The property test checks both, the series and the radical oracles on
-hypothesis-drawn groups against `tests/bruteforce.py`, which never touches
-the stabilizer-chain engine.  The scan test checks every subgroup an
-exhaustive criterion scan asks about against the full series, on groups
+two prime divisors (Burnside's p^a q^b theorem), and `is_nilpotent` passes a
+group of prime-power order and otherwise reads the p-parts of its
+generators, so neither computes a full series.  The property test checks
+both and the radical oracles on hypothesis-drawn groups against the full
+derived and lower central series of `tests/bruteforce.py`, which never
+touches the stabilizer-chain engine.  The scan test checks every subgroup
+an exhaustive criterion scan asks about against those series, on groups
 whose orders have three prime divisors, where the predicates still compute.
 
 Each group keeps its predicate verdicts, and a build of a group's order
 asks the group itself.  The context test checks that one `GroupContext`
-then runs each predicate's series at most once on a group of its order,
-across its oracles and the scans of `bs`, `four` and `two`, and that
-`pairs` and `thompson`, run after `two` as in the default battery, read
-the solvable residual the group keeps, so [G, G] is derived at most once.
-The property tests check the residual against the full derived series,
-and a kept verdict against a fresh one on an equal rebuilt group.
+then computes each predicate at most once on a group of its order, across
+its oracles and the scans of `bs`, `four` and `two`, and that `pairs` and
+`thompson`, run after `two` as in the default battery, read the solvable
+residual the group keeps, so [G, G] is derived at most once.  The property
+tests check the residual against the brute-force derived series, and a
+kept verdict against a fresh one on an equal rebuilt group.
 """
 
 import json
@@ -49,11 +49,9 @@ from solvrad.zoo import construct
 from test_scan_pruning import RANDOM_GENS
 from solvrad.structure import (
     _whole_or,
-    derived_series,
     fitting_oracle,
     is_nilpotent,
     is_solvable,
-    lower_central_series,
     solvable_radical_oracle,
     solvable_residual_order,
 )
@@ -86,20 +84,12 @@ def test_predicates_series_and_radicals_match_brute_force(gens):
     assert group.order == len(els)
     assert elements_of(group) == els
 
-    derived = derived_series(group)
-    lower = lower_central_series(group)
     derived_orders = bf.derived_orders(raw, degree)
-    lower_orders = bf.lower_central_orders(raw, degree)
-    assert [t.order for t in derived.terms] == derived_orders
-    assert [t.order for t in lower.terms] == lower_orders
-
     solvable = derived_orders[-1] == 1
-    nilpotent = lower_orders[-1] == 1
-    assert is_solvable(group) == solvable == derived.terminated
-    assert solvable_residual_order(group) == (
-        1 if derived.terminated else derived.terms[-1].order
-    )
-    assert is_nilpotent(group) == nilpotent == lower.terminated
+    nilpotent = bf.lower_central_orders(raw, degree)[-1] == 1
+    assert is_solvable(group) == solvable
+    assert solvable_residual_order(group) == derived_orders[-1]
+    assert is_nilpotent(group) == nilpotent
     if group.order <= ALL_PAIRS_MAX_ORDER:
         assert solvable == bf.is_solvable_set(els, degree)
         assert nilpotent == bf.is_nilpotent_set(els, degree)
@@ -151,7 +141,8 @@ def test_oracles_match_one_closure_per_class_on_random_groups(gens):
 # do some of the subgroups its scans ask about, where the predicates still
 # compute: the answers they get there.  C(5) x A(5) also has passing
 # subgroups of order 30, where `is_solvable` walks the derived series down
-# to a term the order settles.
+# to a term the order settles.  The brute-force series give the reference
+# answers; every subgroup asked about has order at most 300.
 SCAN_SPECS = [
     ("A(5)", {False}),
     ("S(5)", {False}),
@@ -166,18 +157,20 @@ def test_scan_subgroups_get_the_full_series_answer(spec, computed_answers,
                                                    monkeypatch):
     asked = []
 
-    def checked(predicate, series):
+    def checked(predicate, reference):
         def wrapper(h):
             answer = predicate(h)
-            assert answer == series(h).terminated
+            assert answer == reference([p.images for p in h.generators], h.degree)
             asked.append((h.order, answer))
             return answer
 
         return wrapper
 
-    monkeypatch.setattr(criteria, "is_solvable", checked(is_solvable, derived_series))
     monkeypatch.setattr(
-        criteria, "is_nilpotent", checked(is_nilpotent, lower_central_series)
+        criteria, "is_solvable", checked(is_solvable, bf.solvable_by_orders)
+    )
+    monkeypatch.setattr(
+        criteria, "is_nilpotent", checked(is_nilpotent, bf.nilpotent_by_orders)
     )
     group, classes = group_of(spec), classes_of(spec)
     baer_suzuki_set(group, classes, budget=10**9)
@@ -202,8 +195,9 @@ def test_a_kept_verdict_equals_a_fresh_one_on_a_rebuilt_group(gens):
     assert rebuilt.order == group.order
     assert rebuilt._residual is rebuilt._nilpotent is None
     assert (is_solvable(rebuilt), is_nilpotent(rebuilt)) == first
+    raw = [p.images for p in gens]
     assert first == (
-        derived_series(group).terminated, lower_central_series(group).terminated
+        bf.solvable_by_orders(raw, degree), bf.nilpotent_by_orders(raw, degree)
     )
     # a bounded build of the group's order hands the question to the group
     whole = Bsgs(GeneratorSet(degree, gens[::-1]), group.order)
@@ -215,14 +209,14 @@ def test_a_kept_verdict_equals_a_fresh_one_on_a_rebuilt_group(gens):
 CONTEXT_SPECS = ["A(5)", "PSL2(7)", "direct(C(5),A(5))", "S(5)"]
 
 
-def _record_series(monkeypatch, asked, name):
+def _record_calls(monkeypatch, asked, name):
     """Count in `asked`, by (name, order of its argument), each call of the
     structure function `name`."""
-    series = getattr(structure, name)
+    real = getattr(structure, name)
 
     def wrapper(h):
         asked[name, h.order] += 1
-        return series(h)
+        return real(h)
 
     monkeypatch.setattr(structure, name, wrapper)
 
@@ -230,9 +224,9 @@ def _record_series(monkeypatch, asked, name):
 @pytest.mark.parametrize("spec", CONTEXT_SPECS)
 def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
     ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
-    asked = Counter()  # (series, order of the group it was asked about)
-    _record_series(monkeypatch, asked, "derived_subgroup")
-    _record_series(monkeypatch, asked, "lower_central_series")
+    asked = Counter()  # (function, order of the group it was asked about)
+    _record_calls(monkeypatch, asked, "derived_subgroup")
+    _record_calls(monkeypatch, asked, "_nilpotent_by_parts")
     for theorem in ("bs", "four", "two"):
         code, _ = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)
         assert code == EXIT_OK
@@ -240,7 +234,7 @@ def test_a_context_runs_each_series_once_on_its_whole_group(spec, monkeypatch):
     assert ctx.fitting_radical.subgroup.order < ctx.group.order
     order = ctx.group.order
     assert asked["derived_subgroup", order] == 1
-    assert asked["lower_central_series", order] == 1
+    assert asked["_nilpotent_by_parts", order] == 1
 
 
 @pytest.mark.parametrize("spec", ["A(5)", "PSL2(7)", "file:sz8.json", "S(4)"])
@@ -250,7 +244,7 @@ def test_whole_group_theorems_derive_the_group_once(spec, monkeypatch):
     # order settles its solvability, so nothing is derived
     ctx = GroupContext(spec, DEFAULT_ELEMENT_CAP)
     asked = Counter()
-    _record_series(monkeypatch, asked, "derived_subgroup")
+    _record_calls(monkeypatch, asked, "derived_subgroup")
     solvable = spec == "S(4)"
     for theorem in ("two", "pairs", "thompson"):
         code, report = cmd_verify(theorem, ctx, criteria.EXHAUSTIVE, None, 0)

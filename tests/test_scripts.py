@@ -3,10 +3,12 @@
 `scripts/class_phases.py` reads `bsgs` internals (`_row_points`,
 `_enumerate_raw`, `_sorted_rows`, `_Numbering`, a class's kept
 `_normal_closure`), so a change to them that the script does not follow
-shows here.  `scripts/gen_sz8_fixture.py` is not
-run: it writes the shipped Sz(8) fixture.
+shows here.  `scripts/gen_sz8_fixture.py` builds the Sz(8) document in
+process, without writing it, and it must equal the shipped fixture.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CLASS_PHASES = ROOT / "scripts" / "class_phases.py"
+GEN_SZ8 = ROOT / "scripts" / "gen_sz8_fixture.py"
+SZ8 = ROOT / "src" / "solvrad" / "data" / "sz8.json"
 
 
 @pytest.mark.parametrize(
@@ -44,3 +48,10 @@ def test_class_phases_runs(args, labels):
     assert proc.returncode == 0, proc.stderr
     printed = [line.strip().split("  ")[0] for line in proc.stdout.splitlines()[1:]]
     assert printed == labels
+
+
+def test_sz8_generator_reproduces_the_shipped_fixture():
+    spec = importlib.util.spec_from_file_location("gen_sz8_fixture", GEN_SZ8)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.fixture() == json.loads(SZ8.read_text())

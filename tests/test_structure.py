@@ -5,18 +5,17 @@ import pytest
 import bruteforce as bf
 import solvrad.bsgs
 import solvrad.structure
-from solvrad.bsgs import Bsgs, conjugacy_classes, enumerate_elements
+from solvrad.bsgs import Bsgs, GeneratorSet, conjugacy_classes, enumerate_elements
 from solvrad.perm import parse_cycles
 from solvrad.structure import (
     ORACLE,
     SOLVABLE_RADICAL,
-    derived_series,
     derived_subgroup,
     fitting_oracle,
     is_nilpotent,
     is_solvable,
-    lower_central_series,
     solvable_radical_oracle,
+    solvable_residual_order,
 )
 from solvrad.zoo import construct
 
@@ -28,6 +27,21 @@ SMALL_SPECS = [
 
 def elements_of(g):
     return {p.images for p in enumerate_elements(g)}
+
+
+def walk_derived_orders(g):
+    """The orders of g >= [g,g] >= ..., each term by derived_subgroup, down
+    to 1 or to the first repeated order, as bf.derived_orders stops."""
+    orders = [g.order]
+    while True:
+        g = derived_subgroup(g)
+        orders.append(g.order)
+        if g.order in (1, orders[-2]):
+            return orders
+
+
+def brute_derived_orders(g):
+    return bf.derived_orders([p.images for p in g.generators], g.degree)
 
 
 class TestDerivedSubgroup:
@@ -53,35 +67,50 @@ class TestDerivedSubgroup:
 
 class TestSeries:
     def test_terminated_xor_stabilized(self, group_of):
-        for spec in ("S(4)", "A(5)", "C(12)"):
-            s = derived_series(group_of(spec))
-            assert s.terminated != s.stabilized
+        # the walk ends at 1 (solvable) or at a repeated order (perfect)
+        for spec, last in (("S(4)", 1), ("A(5)", 60), ("C(12)", 1)):
+            orders = walk_derived_orders(group_of(spec))
+            assert orders == brute_derived_orders(group_of(spec))
+            assert orders[-1] == last
 
     def test_terms_strictly_decrease_until_end(self, group_of):
         for spec in SMALL_SPECS:
-            s = derived_series(group_of(spec))
-            orders = [t.order for t in s.terms]
+            orders = walk_derived_orders(group_of(spec))
+            assert orders == brute_derived_orders(group_of(spec))
             for a, b in zip(orders, orders[1:-1]):
                 assert b < a
-            if s.terminated:
-                assert orders[-1] == 1
 
     def test_terms_are_nested(self, group_of):
-        s = derived_series(group_of("S(4)"))
-        for big, small in zip(s.terms, s.terms[1:]):
+        big = group_of("S(4)")
+        while big.order > 1:
+            small = derived_subgroup(big)
             assert all(big.contains(g) for g in small.generators)
+            big = small
 
     def test_solvable_series_length_bound(self, group_of):
         for spec in ("S(3)", "S(4)", "C(12)", "D(6)"):
             g = group_of(spec)
-            s = derived_series(g)
-            strict_steps = len(s.terms) - 1
+            strict_steps = len(walk_derived_orders(g)) - 1
             assert strict_steps <= math.log2(g.order) + 1
 
     def test_stabilized_series_shows_perfect_core(self, group_of):
-        s = derived_series(group_of("S(5)"))
-        assert s.stabilized
-        assert s.terms[-1].order == 60  # the perfect core A5
+        assert solvable_residual_order(group_of("S(5)")) == 60  # the perfect A5
+
+
+# each branch of the p-part test, on orders with two prime divisors: the
+# p-parts of distinct primes commute and each prime's parts generate a
+# p-group (D(4)'s two 2-parts are built, C(12)'s one cyclic part per prime
+# is not); a 2-part and a 3-part that do not commute (S(3), S(3) x C(2));
+# commuting parts whose 2-parts generate S3, not a 2-group; generators
+# that are all 2-elements, so their 2-parts generate the whole S3
+NILPOTENT_CASES = [
+    ("direct(D(4),C(3))", None, True),
+    ("C(12)", None, True),
+    ("S(3)", (3, ["(1,2)", "(1,2,3)"]), False),
+    ("S3xC3", (6, ["(1,2)", "(2,3)", "(4,5,6)"]), False),
+    ("direct(S(3),C(2))", None, False),
+    ("S(3)-by-transpositions", (3, ["(1,2)", "(2,3)"]), False),
+]
 
 
 class TestSolvableNilpotent:
@@ -110,25 +139,34 @@ class TestSolvableNilpotent:
 
     def test_burnside_direction(self, group_of):
         # order of the form p^a q^b forces solvability; is_solvable reads
-        # that from the order, so the derived series checks the engine
+        # that from the order, so the brute-force derived series checks it
         for spec in ("S(3)", "S(4)", "A(4)", "C(12)", "D(4)", "D(6)",
                      "direct(C(4),S(3))"):
             g = group_of(spec)
             assert len(bf.prime_divisors(g.order)) <= 2
             assert is_solvable(g)
-            assert derived_series(g).terminated
+            assert brute_derived_orders(g)[-1] == 1
         # three prime divisors: the order settles nothing, so is_solvable
         # computes, and finds the perfect A5
         for spec in ("A(5)", "S(5)"):
             g = group_of(spec)
             assert len(bf.prime_divisors(g.order)) == 3
             assert not is_solvable(g)
-            assert derived_series(g).stabilized
+            assert brute_derived_orders(g)[-1] == 60
 
-    def test_lower_central_stabilizes_for_s3(self, group_of):
-        s = lower_central_series(group_of("S(3)"))
-        assert s.stabilized
-        assert s.terms[-1].order == 3
+    @pytest.mark.parametrize(
+        "spec, cycles, nilpotent", NILPOTENT_CASES, ids=[c[0] for c in NILPOTENT_CASES]
+    )
+    def test_p_part_branches(self, spec, cycles, nilpotent):
+        if cycles is None:
+            gens = construct(spec)
+        else:
+            degree, text = cycles
+            gens = GeneratorSet(degree, [parse_cycles(c, degree) for c in text])
+        g = Bsgs(gens)  # fresh: no verdict kept from another test
+        assert len(bf.prime_divisors(g.order)) == 2
+        assert is_nilpotent(g) is nilpotent
+        assert nilpotent == bf.is_nilpotent_set(elements_of(g), g.degree)
 
 
 class TestRadicalOracles:
@@ -201,7 +239,7 @@ class TestRadicalOracles:
 class ClosureLog:
     """Every normal closure the oracles build, as its seeds, through the
     names `bsgs` (a class's own closure) and `structure` (the radical and
-    the series) call it by."""
+    the derived subgroup) call it by."""
 
     def __init__(self, monkeypatch):
         self.calls = []
