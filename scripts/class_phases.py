@@ -7,11 +7,13 @@ then what a criterion scan asks of each class of more than one member (a
 one-member class is its own only orbit representative), and prints the
 best time of each phase over the repetitions:
 
-    rows        the transversal products' images of the row points P
-                (`_row_points`, `_enumerate_raw`)
+    rows        the class table's rows: the transversal products' images
+                of the row points P, the base points and each generator's
+                points s^-1(b), as bytes when the degree is at most 256
+                (`_row_points`, `_table_rows`)
     sort        sorting the rows, which numbers the elements
-    index       the base-image index and the generators' conjugation
-                actions on the numbers (`_Numbering`)
+    index       the base-image keys, the generators' conjugation actions on
+                the numbers, and the elements of full rows (`_Numbering`)
     walks       the class walks on the numbers, and the representatives,
                 rebuilt from their rows when P is not every point
     centralizers  C_G(rep) of every class, from its walk
@@ -23,9 +25,10 @@ best time of each phase over the repetitions:
     oracles     the Fitting and solvable-radical oracles on the classes,
                 with the number of class normal closures they build
 
-together with |P|, how many elements the class build rebuilt from their
-rows, and the peak RSS of the process.  Each repetition builds the group
-afresh, so the oracles decide the group's own verdicts anew.
+together with |P|, whether the rows are bytes or tuples, how many
+elements the class build rebuilt from their rows, and the peak RSS of the
+process.  Each repetition builds the group afresh, so the oracles decide
+the group's own verdicts anew.
 
 With --element CYCLES it builds no class table and times instead, for the
 one element g, `class_of(G, g)` and the centralizer C_G(g) read from that
@@ -50,10 +53,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from solvrad.bsgs import (  # noqa: E402
     DEFAULT_ELEMENT_CAP,
     ConjugacyClass,
-    _enumerate_raw,
     _Numbering,
+    _Rebuilt,
     _row_points,
     _sorted_rows,
+    _table_rows,
     Bsgs,
     build_bsgs,
     centralizer,
@@ -75,7 +79,7 @@ def one_run(group, k: int) -> dict:
 
     t = clock()
     points = _row_points(group)
-    rows = _enumerate_raw(group, points)
+    rows = _table_rows(group, points)
     times["rows"] = clock() - t
 
     t = clock()
@@ -94,7 +98,9 @@ def one_run(group, k: int) -> dict:
     ]
     times["walks"] = clock() - t
     times["points"] = len(points)
-    times["rebuilt"] = 0 if table.elements is rows else len(table.elements)
+    rebuilt = isinstance(table.elements, _Rebuilt)
+    times["rebuilt"] = len(table.elements) if rebuilt else 0
+    times["codec"] = type(rows[0]).__name__
     tested = [c for c in classes if c.class_size > 1]
 
     t = clock()
@@ -176,7 +182,8 @@ def main(argv=None) -> int:
     runs = [one_run(Bsgs(gens), args.first) for _ in range(args.repeat)]
     print(f"{args.spec}: order {group.order}, {runs[0]['classes']} classes, "
           f"{runs[0]['orbit reps']} orbit representatives; "
-          f"{runs[0]['points']} of {group.degree} row points, "
+          f"{runs[0]['points']} of {group.degree} row points as "
+          f"{runs[0]['codec']}, "
           f"{runs[0]['rebuilt']} elements rebuilt by the class build; "
           f"best of {args.repeat}, first-k with k = {args.first}")
     for phase in PHASES:

@@ -12,20 +12,23 @@ and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
 len(base) lookups before, or instead of, building its image array.
 Conjugacy classes number the sorted group once (_Numbering) from rows, the
 images of the few points that order the elements and key their conjugates,
-and rebuild an element when it is read; class_of numbers one class in the
-walk that finds it.  Each generator's conjugation action is an array of
-numbers, and the class walks run on them, recording a class id, a parent
-and a generator per element instead of a conjugator.  Conjugators, and a
-centralizer's Schreier generators, are read from those arrays on demand:
-every centralizer reads the walk of its element's class, so no orbit is
-walked twice.  Centralizer-orbit representatives are produced lazily, as
-far as a scan reads them, and counted by Burnside's lemma (_OrbitReps).
+as bytes when the degree fits a byte, so that one bytes.translate composes
+a row or maps a key, and rebuild an element when it is read; class_of
+numbers one class in the walk that finds it.  Each generator's conjugation
+action is an array of numbers, and the class walks run on them, recording
+a class id, a parent and a generator per element instead of a conjugator.
+Conjugators, and a centralizer's Schreier generators, are read from those
+arrays on demand: every centralizer reads the walk of its element's class,
+so no orbit is walked twice.  Centralizer-orbit representatives are
+produced lazily, as far as a scan reads them, and counted by Burnside's
+lemma (_OrbitReps).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -232,7 +235,8 @@ class _Chain:
 
     def _schreier_sims(self) -> None:
         """Deterministic verification sweep from the deepest level upward;
-        it ends early once the chain reaches its bound."""
+        it ends early once the chain reaches its bound.  A tree edge
+        (s u = T[s(pt)]) gives the identity, so it takes one product."""
         ident = self._ident
         i = len(self.base) - 1
         while i >= 0:
@@ -243,10 +247,10 @@ class _Chain:
             for pt in self.points[i]:
                 u = T[pt]
                 for s in gens:
-                    sg = _mul(Tinv[s[pt]], _mul(s, u))
-                    if sg == ident:
+                    su = _mul(s, u)
+                    if su == T[s[pt]]:
                         continue
-                    residue, j = self.sift(sg, i + 1)
+                    residue, j = self.sift(_mul(Tinv[s[pt]], su), i + 1)
                     if residue == ident:
                         continue
                     if j == len(self.base):
@@ -476,23 +480,10 @@ def _getter(points: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda e: tuple([e[p] for p in points])
 
 
-def _conjugate_keys(
-    gens: Sequence[tuple], base: Sequence[int]
-) -> list[Callable[[tuple], tuple]]:
-    """For each s in gens, the function y -> base image of s y s^-1, which
-    reads (s y s^-1)(b) = s(y(s^-1(b))) without building the conjugate.
-    The points s^-1(b) = s.index(b) are found once per generator."""
-    return [_conjugate_key(s, [s.index(b) for b in base]) for s in gens]
-
-
-def _conjugate_key(s: tuple, pull: list) -> Callable[[tuple], tuple]:
-    """y -> base image of s y s^-1, given pull, the base image of s^-1.
-    itemgetter returns a bare item, not a tuple, for a single index, so a
-    base of fewer than two points takes the plain lookups."""
-    if len(pull) < 2:
-        return lambda y: tuple([s[y[b]] for b in pull])
-    at_pull = itemgetter(*pull)
-    return lambda y: itemgetter(*at_pull(y))(s)
+def _translation(u: tuple) -> bytes:
+    """u as a bytes.translate table, byte p to u(p); the padding past the
+    degree is never read."""
+    return bytes(u).ljust(256, b"\0")
 
 
 class _Numbering:
@@ -501,13 +492,16 @@ class _Numbering:
     whole group in sorted order (the classes of `conjugacy_classes`), or
     one conjugation orbit in the order its walk finds it (`class_of`).
 
-    The whole group comes as sorted rows, their images of the sorted
-    `points`: every point, or the row points (_row_points), when order[j]
-    is row j's place in _enumerate_raw.  pos maps a member's base image,
-    read from its row, to its number j, and actions[i][j] is the number of
-    s_i e_j s_i^-1, for the i-th group generator s_i, whose base image
-    s_i(e_j(s_i^-1(b))) is read from row j.  elements[j] is row j, or when
-    rows are not image tuples, member j rebuilt (_Rebuilt), and a sorted
+    The whole group comes as sorted rows (_table_rows), their images of the
+    sorted `points`: every point, or the row points (_row_points), when
+    order[j] is row j's place in the enumeration.  pos maps a member's key,
+    its base image, to its number j: bytes when the degree fits a byte,
+    else a tuple, and only the table makes keys (`number`, `numbers`,
+    `conjugate_key`).  actions[i][j] is the number of s_i e_j s_i^-1, for
+    the i-th group generator s_i, keyed by s_i(e_j(s_i^-1(b))) from row j;
+    a bytes row ends with slices of the images of the base and of each
+    s^-1(b), which one translate by s_i maps.  elements[j] is member j's
+    image tuple, read from a full row or rebuilt (_Rebuilt), and a sorted
     list of numbers is a sorted list of members.  An orbit walk goes
     frontier by frontier, generators in order, the first discovery winning;
     it gives each member it reaches its orbit's id (`cid`), and, except at
@@ -523,25 +517,55 @@ class _Numbering:
         self, group: Bsgs, rows: list, points: Sequence, order: Optional[list] = None
     ):
         self.group = group
-        n = len(rows)
-        base = group._chain.base
-        at = {p: k for k, p in enumerate(points)}  # a point's place in a row
-        at_base = _getter([at[b] for b in base])
-        self.pos = dict(zip(map(at_base, rows), range(n)))
-        # (s e s^-1)(b) = s(e(s^-1(b))): each generator's conjugate keys are
-        # read in C, column by column, from the rows' places of s^-1(b)
-        self.actions = []
-        for s in group._gens_raw:
-            columns = [
-                map(s.__getitem__, map(itemgetter(at[s.index(b)]), rows))
-                for b in base
+        n, base, gens = len(rows), group._chain.base, group._gens_raw
+        if group.degree <= 256:
+            k, m = len(points), len(base)
+            starts = [k + i * m for i in range(len(gens) + 1)]
+            key, *cuts = [itemgetter(slice(j, j + m)) for j in starts]
+            conjugates = [
+                map(bytes.translate, map(cut, rows), repeat(_translation(s)))
+                for s, cut in zip(gens, cuts)
             ]
-            self.actions.append(list(map(self.pos.__getitem__, zip(*columns))))
-        self.elements = rows if order is None else _Rebuilt(group, order)
+            # a full row leads with its element's images
+            full = map(tuple, map(itemgetter(slice(k)), rows))
+        else:  # in C, column by column, at the points' places
+            at = {p: k for k, p in enumerate(points)}
+            key = _getter([at[b] for b in base])
+            conjugates = [
+                zip(*[map(s.__getitem__, map(itemgetter(at[s.index(b)]), rows))
+                      for b in base])
+                for s in gens
+            ]
+            full = rows
+        self.pos = dict(zip(map(key, rows), range(n)))
+        self.actions = [list(map(self.pos.__getitem__, keys)) for keys in conjugates]
+        self.elements = list(full) if order is None else _Rebuilt(group, order)
         self.cid = [-1] * n
         self.parent = [-1] * n
         self.via = [0] * n
         self.sizes: list[int] = []
+
+    def key(self, e: tuple):
+        """Member e's key."""
+        key = _getter(self.group._chain.base)(e)
+        return bytes(key) if self.group.degree <= 256 else key
+
+    def number(self, e: tuple) -> Optional[int]:
+        """Member e's number; None when no member has e's key."""
+        return self.pos.get(self.key(e))
+
+    def numbers(self, sub: Bsgs) -> Iterator[int]:
+        """The numbers of the subgroup `sub`'s members."""
+        rows = _enumerate_raw(sub, self.group._chain.base, packed=True)
+        return map(self.pos.__getitem__, rows)
+
+    def conjugate_key(self, s: tuple) -> Callable[[tuple], object]:
+        """y -> the key of s y s^-1, read as s(y(s^-1(b))), no conjugate built."""
+        at_pull = _getter([s.index(b) for b in self.group._chain.base])
+        if self.group.degree <= 256:
+            table = _translation(s)
+            return lambda y: bytes(at_pull(y)).translate(table)
+        return lambda y: tuple(map(s.__getitem__, at_pull(y)))
 
     def whole(self) -> bool:
         """Whether the numbered set is the whole group."""
@@ -675,7 +699,7 @@ def _orbit_walk(table: _Numbering, members: Sequence[int], cent: Bsgs) -> Iterat
     representative is asked for; a function, so that the generator's frame
     holds no _OrbitReps, which holds the generator."""
     els, pos = table.elements, table.pos
-    keys = _conjugate_keys(cent._gens_raw, table.group._chain.base)
+    keys = list(map(table.conjugate_key, cent._gens_raw))
     seen: set[int] = set()
     for e in members:
         if e in seen:
@@ -704,8 +728,7 @@ def _burnside_count(table: _Numbering, cent: Bsgs) -> int:
     (1/|C|) sum over c in C of that = (|G|/|C|^2) sum over L of |L n C|^2 / |L|.
     |L n C| is read from the class ids of C's enumerated elements, and
     |G|/|L| is an integer."""
-    keys = _enumerate_raw(cent, table.group._chain.base)
-    hits = Counter(map(table.cid.__getitem__, map(table.pos.__getitem__, keys)))
+    hits = Counter(map(table.cid.__getitem__, table.numbers(cent)))
     order = table.group.order
     total = sum(m * m * (order // table.sizes[c]) for c, m in hits.items())
     count, rem = divmod(total, cent.order ** 2)
@@ -802,9 +825,7 @@ class ConjugacyClass:
     def conjugator(self, h: Permutation) -> Permutation:
         """Some x with x * rep * x^-1 = h; h must be a class member."""
         table = self._table
-        j = None
-        if h.degree == self.degree:
-            j = table.pos.get(_getter(table.group._chain.base)(h._img))
+        j = table.number(h._img) if h.degree == self.degree else None
         if (
             j is None
             or table.elements[j] != h._img
@@ -831,7 +852,7 @@ def conjugacy_classes(
     each started at its smallest member, which no earlier walk reached."""
     _check_element_cap(group.order, element_cap)
     points = _row_points(group)
-    rows, order = _sorted_rows(_enumerate_raw(group, points), points, group.degree)
+    rows, order = _sorted_rows(_table_rows(group, points), points, group.degree)
     table = _Numbering(group, rows, points, order)
     cid = table.cid
     classes = [
@@ -845,14 +866,23 @@ def conjugacy_classes(
 def _sorted_rows(
     rows: list, points: Sequence, degree: int
 ) -> tuple[list, Optional[list]]:
-    """The rows sorted, which numbers their members, and, for rows that are
-    not image tuples, the sorted rows' places in `rows`, from which
+    """The rows sorted, which numbers their members, and, for rows of fewer
+    than every point, the sorted rows' places in `rows`, from which
     _Rebuilt rebuilds the members."""
     if len(points) == degree:
         rows.sort()
         return rows, None
     order = sorted(range(len(rows)), key=rows.__getitem__)
     return list(map(rows.__getitem__, order)), order
+
+
+def _table_rows(group: Bsgs, points: Sequence[int]) -> list:
+    """The class table's rows (see _Numbering), in enumeration order."""
+    if group.degree > 256:
+        return _enumerate_raw(group, points)
+    base = group._chain.base
+    pulls = [s.index(b) for s in group._gens_raw for b in base]
+    return _enumerate_raw(group, [*points, *base, *pulls], packed=True)
 
 
 def _row_points(group: Bsgs) -> Sequence[int]:
@@ -897,12 +927,12 @@ def _orbit_numbering(group: Bsgs, x: tuple) -> _Numbering:
     that _Numbering.walk makes from x: a new base-image key of s y s^-1
     numbers, builds and links the next member.  Members are stepped from in
     number order, so each step appends the key's number to s's actions."""
-    gens, base = group._gens_raw, group._chain.base
+    gens = group._gens_raw
     table = object.__new__(_Numbering)
     table.group, table.actions = group, [[] for _ in gens]
-    elements, pos = table.elements, table.pos = [x], {_getter(base)(x): 0}
+    elements, pos = table.elements, table.pos = [x], {table.key(x): 0}
     parent, via = table.parent, table.via = [-1], [0]
-    keys = _conjugate_keys(gens, base)
+    keys = map(table.conjugate_key, gens)
     steps = list(zip(range(len(gens)), gens, map(_inv, gens), keys, table.actions))
     frontier = [0]
     while frontier:
@@ -988,21 +1018,29 @@ def enumerate_elements(
 
 
 def _enumerate_raw(
-    group: Bsgs, points: Optional[Sequence[int]] = None, level: int = 0
-) -> list[tuple]:
+    group: Bsgs,
+    points: Optional[Sequence[int]] = None,
+    level: int = 0,
+    packed: bool = False,
+) -> list:
     """The images of `points` (every point when None, so the elements
-    themselves) under every element u_l ... u_k of the stabilizer of the
-    first l = `level` base points, a transversal product, ordered by the
-    indices of the u_i among their levels' sorted orbit points, the first
-    level varying slowest.  The rows are built from the last level up, from
-    the identity's row, so the longest list held besides the result has
-    |G| / |orbit 0| entries."""
+    themselves), as tuples, or bytes when `packed` and the degree fits a
+    byte, under every element u_l ... u_k of the stabilizer of the first
+    l = `level` base points, ordered by the indices of the u_i among their
+    levels' sorted orbit points, the first level varying slowest.  Built
+    from the identity's row, last level first, so the longest list held
+    besides the result has |G| / |orbit 0| entries."""
     chain = group._chain
-    products = [tuple(range(group.degree) if points is None else points)]
+    row = range(group.degree) if points is None else points
+    packed = packed and group.degree <= 256
+    products = [bytes(row) if packed else tuple(row)]
     levels = zip(chain.transversals[level:], chain.points[level:])
     for t, pts in reversed(list(levels)):
-        # u p is u read at p's points: one getter per lower row, in C
+        # u p is p's row translated by u, or u read by p's getter: in C
         us = [t[pt] for pt in pts]
-        getters = list(map(_getter, products))
-        products = [get(u) for u in us for get in getters]
+        if packed:
+            products = [p.translate(u) for u in map(_translation, us) for p in products]
+        else:
+            getters = list(map(_getter, products))
+            products = [get(u) for u in us for get in getters]
     return products

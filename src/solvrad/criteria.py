@@ -590,8 +590,9 @@ def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
         verdicts.append(v)
         if v.in_radical_claimed:
             member_reps.append(v.element)
+    whole = len(member_reps) == len(classes)
     return RadicalResult(
-        subgroup=normal_closure(group, member_reps),
+        subgroup=group if whole else normal_closure(group, member_reps),
         kind=kind,
         member_class_reps=member_reps,
         method=CRITERION,

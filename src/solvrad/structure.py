@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .bsgs import Bsgs, ConjugacyClass, GeneratorSet, _getter, normal_closure
+from .bsgs import Bsgs, ConjugacyClass, GeneratorSet, normal_closure
 from .perm import Permutation, _mul, _power, _primes_of, commutator
 
 SOLVABLE_RADICAL = "solvable_radical"
@@ -179,10 +179,10 @@ def _radical_oracle(group, classes, predicate, kind) -> RadicalResult:
         reps = [cls.representative for cls in classes]
         return RadicalResult(group, kind, reps, ORACLE)
     table = classes[0]._table
-    key, pos, cid = _getter(group._chain.base), table.pos, table.cid
+    cid = table.cid
 
     def class_id(y):
-        return cid[pos[key(y)]]
+        return cid[table.number(y)]
 
     inside = [None] * len(table.sizes)  # by class id: member, out, undecided
     member_reps = []

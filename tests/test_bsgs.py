@@ -657,8 +657,12 @@ class TestBlockedDraws:
             assert g._draw_blocks is blocks
 
 
-# Base lengths 0 (the trivial group), 1, 2 and 3 (Sz(8)).
-KEY_SPECS = [("C(1)", 0), ("C(5)", 1), ("S(3)", 2), ("file:sz8.json", 3)]
+# Base lengths 0 (the trivial group), 1, 2 and 3 (Sz(8)), with bytes keys;
+# tuple keys past degree 256.
+KEY_SPECS = [
+    ("C(1)", 0), ("C(5)", 1), ("S(3)", 2), ("file:sz8.json", 3),
+    ("C(257)", 1), ("direct(C(254),S(3))", 3),
+]
 
 
 class TestBaseImageKeys:
@@ -672,13 +676,14 @@ class TestBaseImageKeys:
         rng = random.Random(0)
         conjugators = g._gens_raw + [random_element(g, rng)._img for _ in range(5)]
         ys = [random_element(g, rng)._img for _ in range(30)]
-        keys = bsgs._conjugate_keys(conjugators, base)
-        for s, key in zip(conjugators, keys):
+        table = conjugacy_classes(g)[0]._table
+        for s in conjugators:
+            key = table.conjugate_key(s)
             for y in ys:
                 z = _mul(s, _mul(y, _inv(s)))
-                expected = tuple(z[b] for b in base)
-                assert bsgs._getter(base)(z) == expected
-                assert type(key(y)) is tuple and key(y) == expected
+                assert key(y) == table.key(z)
+                assert type(key(y)) is (bytes if g.degree <= 256 else tuple)
+                assert tuple(key(y)) == tuple(z[b] for b in base)
 
 
 class TestRandomAndEnumerate:

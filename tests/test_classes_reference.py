@@ -14,9 +14,11 @@ that length, and its count, taken before any representative is read, is the
 length of the completed walk.
 
 The class table numbers the group from rows, each element's images of a
-few points, and rebuilds an element from its row when it is read.  Its
-numbering must equal the full-tuple numbering of sorted(_enumerate_raw(G))
-in every array, and every rebuilt element the full tuple it stands for.
+few points, as bytes when the degree fits a byte, and rebuilds an element
+from its row when it is read.  Its numbering must equal the full-tuple
+numbering of sorted(_enumerate_raw(G)), every conjugate built, in every
+array; each element's number must come back through the table's key; and
+every rebuilt element must be the full tuple it stands for.
 """
 
 import gc
@@ -36,6 +38,7 @@ from solvrad.bsgs import (
     _enumerate_raw,
     _row_points,
     _sorted_rows,
+    _table_rows,
     build_bsgs,
     centralizer,
     class_of,
@@ -224,7 +227,8 @@ def check_group(group, classes, thorough=True):
 
 def assert_orbit_numbering(group, cls, g):
     """The one-orbit table of cls = class_of(group, g): g is number 0 and
-    the class's root; pos maps each member's base image to its number;
+    the class's root; each member's number comes back through its key,
+    which reads as its base image;
     actions[i][j] is the number of s_i e_j s_i^-1; each other member is
     s e_parent s^-1 for s = s_via, found after its parent; and the class
     lists its members ascending."""
@@ -232,7 +236,8 @@ def assert_orbit_numbering(group, cls, g):
     els, gens, base = table.elements, group._gens_raw, group._chain.base
     n = len(els)
     assert els[0] == g and cls._root == 0 and table.parent[0] == -1
-    assert table.pos == {tuple(e[b] for b in base): j for j, e in enumerate(els)}
+    assert [table.number(e) for e in els] == list(range(n))
+    assert [tuple(table.key(e)) for e in els] == [tuple(e[b] for b in base) for e in els]
     assert len(table.pos) == n == cls.class_size
     for s, act in zip(gens, table.actions, strict=True):
         si = _inv(s)
@@ -385,27 +390,49 @@ def row_points(group):
     return sorted(points)
 
 
-def numbered(group, points):
-    """The whole group numbered from its rows on `points` as
-    conjugacy_classes numbers it, and walked class by class."""
-    rows, order = _sorted_rows(_enumerate_raw(group, points), points, group.degree)
-    table = _Numbering(group, rows, points, order)
-    for j in range(len(rows)):
+def walked(table):
+    """The table with every class walked, in order."""
+    for j in range(len(table.cid)):
         if table.cid[j] < 0:
             table.walk(j)
     return table
 
 
+def numbered(group, points):
+    """The whole group numbered from its rows on `points` as
+    conjugacy_classes numbers it, and walked class by class."""
+    rows, order = _sorted_rows(_table_rows(group, points), points, group.degree)
+    return walked(_Numbering(group, rows, points, order))
+
+
+def full_tuple_numbering(group):
+    """The sorted image tuples numbered by place, each generator's action
+    read from the built conjugates s e s^-1, and walked class by class."""
+    elements = sorted(_enumerate_raw(group))
+    number = {e: j for j, e in enumerate(elements)}
+    n = len(elements)
+    ref = object.__new__(_Numbering)
+    ref.group, ref.elements, ref.sizes = group, elements, []
+    ref.cid, ref.parent, ref.via = [-1] * n, [-1] * n, [0] * n
+    ref.actions = [
+        [number[_mul(s, _mul(e, _inv(s)))] for e in elements]
+        for s in group._gens_raw
+    ]
+    return walked(ref)
+
+
 def assert_numbering_matches(group, table, points):
     """Every array of `table` against the full-tuple numbering, each
-    element read one at a time, then, on a fresh numbering from the same
-    rows, a few singly and the rest in one pass."""
-    elements = sorted(_enumerate_raw(group))
-    ref = numbered(group, range(group.degree))
-    assert ref.elements == elements
+    element read one at a time, and each element's number through its key;
+    then, on a fresh numbering from the same rows, a few elements singly
+    and the rest in one pass."""
+    ref = full_tuple_numbering(group)
+    elements = ref.elements
     n = len(elements)
     assert [table.elements[j] for j in range(n)] == elements
-    assert table.pos == ref.pos
+    assert [table.number(e) for e in elements] == list(range(n))
+    assert len(table.pos) == n
+    assert type(table.key(elements[0])) is (bytes if group.degree <= 256 else tuple)
     assert table.actions == ref.actions
     assert table.cid == ref.cid
     assert table.parent == ref.parent
@@ -459,6 +486,10 @@ def relabelled(spec, seed):
         ("C(1)", None, 1),  # the trivial group: every point
         ("C(2)", None, 2),
         ("PSL2(7)", None, 8),
+        # either side of the byte rows: degrees 256 and 257
+        ("direct(C(253),S(3))", None, 256),
+        ("direct(C(254),S(3))", None, 257),
+        ("direct(S(3),C(254))", None, 5),
     ],
 )
 def test_class_table_numbering_matches_full_tuples(spec, seed, rows):
