@@ -8,14 +8,15 @@ one-member class is its own only orbit representative), and prints the
 best time of each phase over the repetitions:
 
     rows        the class table's rows: the transversal products' images
-                of the row points P, the base points and each generator's
-                points s^-1(b), as bytes when the degree is at most 256
-                (`_row_points`, `_table_rows`)
+                of the row points P, and, as bytes when the degree is at
+                most 256, then of the base points and each generator's
+                points s^-1(b) (`_row_points`, `_table_rows`)
     sort        sorting the rows, which numbers the elements
-    index       the base-image keys, the generators' conjugation actions on
-                the numbers, and the elements of full rows (`_Numbering`)
+    index       the base-image keys and the generators' conjugation actions
+                on the numbers (`_Numbering`)
     walks       the class walks on the numbers, and the representatives,
-                rebuilt from their rows when P is not every point
+                built from their rows, or from the transversals when P is
+                not every point
     centralizers  C_G(rep) of every class, from its walk
     count       the number of C_G(rep)-orbits on every class, by Burnside's
                 lemma where it applies, else by the completed walk
@@ -26,7 +27,7 @@ best time of each phase over the repetitions:
                 with the number of class normal closures they build
 
 together with |P|, whether the rows are bytes or tuples, how many
-elements the class build rebuilt from their rows, and the peak RSS of the
+elements the class build built as image tuples, and the peak RSS of the
 process.  Each repetition builds the group afresh, so the oracles decide
 the group's own verdicts anew.
 
@@ -54,7 +55,6 @@ from solvrad.bsgs import (  # noqa: E402
     DEFAULT_ELEMENT_CAP,
     ConjugacyClass,
     _Numbering,
-    _Rebuilt,
     _row_points,
     _sorted_rows,
     _table_rows,
@@ -98,8 +98,7 @@ def one_run(group, k: int) -> dict:
     ]
     times["walks"] = clock() - t
     times["points"] = len(points)
-    rebuilt = isinstance(table.elements, _Rebuilt)
-    times["rebuilt"] = len(table.elements) if rebuilt else 0
+    times["built"] = len(table.elements)
     times["codec"] = type(rows[0]).__name__
     tested = [c for c in classes if c.class_size > 1]
 
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
           f"{runs[0]['orbit reps']} orbit representatives; "
           f"{runs[0]['points']} of {group.degree} row points as "
           f"{runs[0]['codec']}, "
-          f"{runs[0]['rebuilt']} elements rebuilt by the class build; "
+          f"{runs[0]['built']} elements built by the class build; "
           f"best of {args.repeat}, first-k with k = {args.first}")
     for phase in PHASES:
         line = f"  {phase:13s} {min(r[phase] for r in runs) * 1000:9.1f} ms"

@@ -12,16 +12,15 @@ and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
 len(base) lookups before, or instead of, building its image array.
 Conjugacy classes number the sorted group once (_Numbering) from rows, the
 images of the few points that order the elements and key their conjugates,
-as bytes when the degree fits a byte, so that one bytes.translate composes
-a row or maps a key, and rebuild an element when it is read; class_of
-numbers one class in the walk that finds it.  Each generator's conjugation
-action is an array of numbers, and the class walks run on them, recording
-a class id, a parent and a generator per element instead of a conjugator.
-Conjugators, and a centralizer's Schreier generators, are read from those
-arrays on demand: every centralizer reads the walk of its element's class,
-so no orbit is walked twice.  Centralizer-orbit representatives are
-produced lazily, as far as a scan reads them, and counted by Burnside's
-lemma (_OrbitReps).
+bytes when the degree fits a byte, and build an element when it is read;
+class_of numbers one class in the walk that finds it.  Each generator's
+conjugation action is an array of numbers, and the class walks run on them,
+recording a class id, a parent and a generator per element instead of a
+conjugator.  Conjugators, and a centralizer's Schreier generators, are read
+from those arrays on demand: every centralizer reads the walk of its
+element's class, so no orbit is walked twice.  Centralizer-orbit
+representatives are produced lazily, as far as a scan reads them, and
+counted by Burnside's lemma (_OrbitReps).
 """
 
 from __future__ import annotations
@@ -486,23 +485,29 @@ def _translation(u: tuple) -> bytes:
     return bytes(u).ljust(256, b"\0")
 
 
+def _packed(group: Bsgs) -> bool:
+    """Whether the class table's rows and keys are bytes, else tuples."""
+    return group.degree <= 256
+
+
 class _Numbering:
     """Members of a group, numbered once, with the conjugation action of
     the group's generators on the numbers and the orbit walks over it: the
     whole group in sorted order (the classes of `conjugacy_classes`), or
     one conjugation orbit in the order its walk finds it (`class_of`).
 
-    The whole group comes as sorted rows (_table_rows), their images of the
-    sorted `points`: every point, or the row points (_row_points), when
-    order[j] is row j's place in the enumeration.  pos maps a member's key,
-    its base image, to its number j: bytes when the degree fits a byte,
-    else a tuple, and only the table makes keys (`number`, `numbers`,
-    `conjugate_key`).  actions[i][j] is the number of s_i e_j s_i^-1, for
-    the i-th group generator s_i, keyed by s_i(e_j(s_i^-1(b))) from row j;
-    a bytes row ends with slices of the images of the base and of each
-    s^-1(b), which one translate by s_i maps.  elements[j] is member j's
-    image tuple, read from a full row or rebuilt (_Rebuilt), and a sorted
-    list of numbers is a sorted list of members.  An orbit walk goes
+    The whole group comes as sorted rows (_table_rows), when order[j] is
+    row j's place in the enumeration: e_j's images of the sorted `points`,
+    every point or the row points (_row_points).  Rows and keys are bytes
+    when `packed`, else tuples, and only the table makes keys.  pos maps a
+    member's key, its base image, to its number j, and actions[i][j] is the
+    number of s_i e_j s_i^-1, for the i-th group generator s_i, keyed by
+    s_i(e_j(s_i^-1(b))).  A tuple row holds e_j(b) and e_j(s_i^-1(b)) among
+    its points' images; a byte row ends with them, the base's images, then
+    each generator's, as slices, so that one translate by s_i maps one.
+    elements[j] is e_j's image tuple, built when read (_Rebuilt), and
+    images[j] reads e_j at any point, as its full row or elements[j].  A
+    sorted list of numbers is a sorted list of members.  An orbit walk goes
     frontier by frontier, generators in order, the first discovery winning;
     it gives each member it reaches its orbit's id (`cid`), and, except at
     its root, the member it came from (`parent`, -1 at a root) and the
@@ -511,14 +516,17 @@ class _Numbering:
     values, or small cached ints, so each costs one pointer per member.
     """
 
-    __slots__ = ("group", "elements", "pos", "actions", "cid", "parent", "via", "sizes")
+    __slots__ = (
+        "group", "packed", "key", "images", "elements", "pos", "actions",
+        "cid", "parent", "via", "sizes",
+    )
 
     def __init__(
         self, group: Bsgs, rows: list, points: Sequence, order: Optional[list] = None
     ):
-        self.group = group
+        self._codec(group)
         n, base, gens = len(rows), group._chain.base, group._gens_raw
-        if group.degree <= 256:
+        if self.packed:  # slices of the row's last images, each mapped by s
             k, m = len(points), len(base)
             starts = [k + i * m for i in range(len(gens) + 1)]
             key, *cuts = [itemgetter(slice(j, j + m)) for j in starts]
@@ -526,29 +534,28 @@ class _Numbering:
                 map(bytes.translate, map(cut, rows), repeat(_translation(s)))
                 for s, cut in zip(gens, cuts)
             ]
-            # a full row leads with its element's images
-            full = map(tuple, map(itemgetter(slice(k)), rows))
         else:  # in C, column by column, at the points' places
-            at = {p: k for k, p in enumerate(points)}
+            at = {p: j for j, p in enumerate(points)}
             key = _getter([at[b] for b in base])
             conjugates = [
                 zip(*[map(s.__getitem__, map(itemgetter(at[s.index(b)]), rows))
                       for b in base])
                 for s in gens
             ]
-            full = rows
         self.pos = dict(zip(map(key, rows), range(n)))
         self.actions = [list(map(self.pos.__getitem__, keys)) for keys in conjugates]
-        self.elements = list(full) if order is None else _Rebuilt(group, order)
+        self.elements = _Rebuilt(group, rows, order)
+        self.images = rows if order is None else self.elements
         self.cid = [-1] * n
         self.parent = [-1] * n
         self.via = [0] * n
         self.sizes: list[int] = []
 
-    def key(self, e: tuple):
-        """Member e's key."""
-        key = _getter(self.group._chain.base)(e)
-        return bytes(key) if self.group.degree <= 256 else key
+    def _codec(self, group: Bsgs) -> None:
+        """Take the group and its key format: `key(e)` is e's base image."""
+        at_base = _getter(group._chain.base)
+        self.group, self.packed = group, _packed(group)
+        self.key = (lambda e: bytes(at_base(e))) if self.packed else at_base
 
     def number(self, e: tuple) -> Optional[int]:
         """Member e's number; None when no member has e's key."""
@@ -556,13 +563,13 @@ class _Numbering:
 
     def numbers(self, sub: Bsgs) -> Iterator[int]:
         """The numbers of the subgroup `sub`'s members."""
-        rows = _enumerate_raw(sub, self.group._chain.base, packed=True)
+        rows = _enumerate_raw(sub, self.group._chain.base, packed=self.packed)
         return map(self.pos.__getitem__, rows)
 
-    def conjugate_key(self, s: tuple) -> Callable[[tuple], object]:
+    def conjugate_key(self, s: tuple) -> Callable[[Sequence], object]:
         """y -> the key of s y s^-1, read as s(y(s^-1(b))), no conjugate built."""
         at_pull = _getter([s.index(b) for b in self.group._chain.base])
-        if self.group.degree <= 256:
+        if self.packed:
             table = _translation(s)
             return lambda y: bytes(at_pull(y)).translate(table)
         return lambda y: tuple(map(s.__getitem__, at_pull(y)))
@@ -614,32 +621,37 @@ class _Numbering:
 
 
 class _Rebuilt(dict):
-    """Members of the whole group by number, each rebuilt on its first read
-    and kept: member j is element i = order[j] of _enumerate_raw, u v for
+    """Members of the whole group by number, each built on its first read
+    and kept: member j is its full row's images of every point, or, from
+    rows of fewer points, element i = order[j] of _enumerate_raw, u v for
     the first level's coset representative u at index i // |S| and element
     v at index i % |S| of S, the first base point's stabilizer, enumerated
-    once.  `read` rebuilds a list of members in one pass, without a Python
+    once.  `read` builds a list of members in one pass, without a Python
     call per member."""
 
-    __slots__ = ("_order", "_us", "_vs")
+    __slots__ = ("_build",)
 
-    def __init__(self, group: Bsgs, order: list[int]):
+    def __init__(self, group: Bsgs, rows: list, order: Optional[list]):
         super().__init__()
+        if order is None:
+            n = group.degree
+            self._build = lambda js: [tuple(rows[j][:n]) for j in js]
+            return
         chain = group._chain
-        self._order = order
-        self._us = list(map(chain.transversals[0].__getitem__, chain.points[0]))
-        self._vs = list(map(_getter, _enumerate_raw(group, level=1)))  # v -> u v
+        us = list(map(chain.transversals[0].__getitem__, chain.points[0]))
+        vs = list(map(_getter, _enumerate_raw(group, level=1)))  # v -> u v
+        m = len(vs)
+        self._build = lambda js: [
+            vs[i % m](us[i // m]) for i in map(order.__getitem__, js)
+        ]
 
     def __missing__(self, j: int) -> tuple:
-        i, m = self._order[j], len(self._vs)
-        e = self[j] = self._vs[i % m](self._us[i // m])
+        e = self[j] = self._build((j,))[0]
         return e
 
     def read(self, js: Sequence[int]) -> list[tuple]:
-        us, vs, m = self._us, self._vs, len(self._vs)
         new = [j for j in js if j not in self]
-        places = map(self._order.__getitem__, new)
-        self.update(zip(new, [vs[i % m](us[i // m]) for i in places]))
+        self.update(zip(new, self._build(new)))
         return list(map(self.__getitem__, js))
 
 
@@ -698,7 +710,7 @@ def _orbit_walk(table: _Numbering, members: Sequence[int], cent: Bsgs) -> Iterat
     """The stream of _OrbitReps, each orbit walked when the next
     representative is asked for; a function, so that the generator's frame
     holds no _OrbitReps, which holds the generator."""
-    els, pos = table.elements, table.pos
+    els, pos = table.images, table.pos
     keys = list(map(table.conjugate_key, cent._gens_raw))
     seen: set[int] = set()
     for e in members:
@@ -868,7 +880,7 @@ def _sorted_rows(
 ) -> tuple[list, Optional[list]]:
     """The rows sorted, which numbers their members, and, for rows of fewer
     than every point, the sorted rows' places in `rows`, from which
-    _Rebuilt rebuilds the members."""
+    _Rebuilt builds the members."""
     if len(points) == degree:
         rows.sort()
         return rows, None
@@ -878,7 +890,7 @@ def _sorted_rows(
 
 def _table_rows(group: Bsgs, points: Sequence[int]) -> list:
     """The class table's rows (see _Numbering), in enumeration order."""
-    if group.degree > 256:
+    if not _packed(group):
         return _enumerate_raw(group, points)
     base = group._chain.base
     pulls = [s.index(b) for s in group._gens_raw for b in base]
@@ -929,8 +941,10 @@ def _orbit_numbering(group: Bsgs, x: tuple) -> _Numbering:
     number order, so each step appends the key's number to s's actions."""
     gens = group._gens_raw
     table = object.__new__(_Numbering)
-    table.group, table.actions = group, [[] for _ in gens]
-    elements, pos = table.elements, table.pos = [x], {table.key(x): 0}
+    table._codec(group)
+    table.actions = [[] for _ in gens]
+    elements = table.images = table.elements = [x]
+    pos = table.pos = {table.key(x): 0}
     parent, via = table.parent, table.via = [-1], [0]
     keys = map(table.conjugate_key, gens)
     steps = list(zip(range(len(gens)), gens, map(_inv, gens), keys, table.actions))
@@ -1024,23 +1038,22 @@ def _enumerate_raw(
     packed: bool = False,
 ) -> list:
     """The images of `points` (every point when None, so the elements
-    themselves), as tuples, or bytes when `packed` and the degree fits a
-    byte, under every element u_l ... u_k of the stabilizer of the first
-    l = `level` base points, ordered by the indices of the u_i among their
-    levels' sorted orbit points, the first level varying slowest.  Built
-    from the identity's row, last level first, so the longest list held
-    besides the result has |G| / |orbit 0| entries."""
+    themselves) under every element u_l ... u_k of the stabilizer of the
+    first l = `level` base points, a transversal product, ordered by the
+    indices of the u_i among their levels' sorted orbit points, the first
+    level varying slowest.  The rows are built from the last level up, from
+    the identity's row, so the longest list held besides the result has
+    |G| / |orbit 0| entries; they are tuples, or bytes when `packed`."""
     chain = group._chain
     row = range(group.degree) if points is None else points
-    packed = packed and group.degree <= 256
     products = [bytes(row) if packed else tuple(row)]
     levels = zip(chain.transversals[level:], chain.points[level:])
     for t, pts in reversed(list(levels)):
         # u p is p's row translated by u, or u read by p's getter: in C
         us = [t[pt] for pt in pts]
         if packed:
-            products = [p.translate(u) for u in map(_translation, us) for p in products]
+            us, getters = map(_translation, us), [p.translate for p in products]
         else:
             getters = list(map(_getter, products))
-            products = [get(u) for u in us for get in getters]
+        products = [get(u) for u in us for get in getters]
     return products

@@ -583,6 +583,7 @@ def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
     _require_classes_of(group, classes)
     verdicts = []
     member_reps = []
+    claimed = {}  # representative -> class size
     for cls in classes:
         v = test(cls.representative, cls)
         if v is None:
@@ -590,7 +591,9 @@ def _criterion_radical(group: Bsgs, classes, kind: str, test) -> RadicalResult:
         verdicts.append(v)
         if v.in_radical_claimed:
             member_reps.append(v.element)
-    whole = len(member_reps) == len(classes)
+            claimed[cls.representative] = cls.class_size
+    # claimed classes that cover the group generate it
+    whole = sum(claimed.values()) == group.order
     return RadicalResult(
         subgroup=group if whole else normal_closure(group, member_reps),
         kind=kind,

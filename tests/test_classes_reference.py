@@ -14,11 +14,11 @@ that length, and its count, taken before any representative is read, is the
 length of the completed walk.
 
 The class table numbers the group from rows, each element's images of a
-few points, as bytes when the degree fits a byte, and rebuilds an element
-from its row when it is read.  Its numbering must equal the full-tuple
-numbering of sorted(_enumerate_raw(G)), every conjugate built, in every
-array; each element's number must come back through the table's key; and
-every rebuilt element must be the full tuple it stands for.
+few points, as bytes when the degree fits a byte, and builds an element
+when it is read, from a full row or from the transversals.  Its numbering
+must equal the full-tuple numbering of sorted(_enumerate_raw(G)), every
+conjugate built, in every array; each element's number must come back through the table's key; and
+every built element must be the full tuple it stands for.
 """
 
 import gc
@@ -430,6 +430,8 @@ def assert_numbering_matches(group, table, points):
     elements = ref.elements
     n = len(elements)
     assert [table.elements[j] for j in range(n)] == elements
+    degree = group.degree
+    assert [tuple(table.images[j][:degree]) for j in range(n)] == elements
     assert [table.number(e) for e in elements] == list(range(n))
     assert len(table.pos) == n
     assert type(table.key(elements[0])) is (bytes if group.degree <= 256 else tuple)
@@ -439,11 +441,11 @@ def assert_numbering_matches(group, table, points):
     assert table.via == ref.via
     assert table.sizes == ref.sizes
     fresh = numbered(group, points).elements
-    if isinstance(fresh, _Rebuilt):
-        singles = [n - 1, 0, n // 2]
-        assert [fresh[j] for j in singles] == [elements[j] for j in singles]
-        js = [*range(n - 1, -1, -1), 0]
-        assert fresh.read(js) == [elements[j] for j in js]
+    assert isinstance(fresh, _Rebuilt)
+    singles = [n - 1, 0, n // 2]
+    assert [fresh[j] for j in singles] == [elements[j] for j in singles]
+    js = [*range(n - 1, -1, -1), 0]
+    assert fresh.read(js) == [elements[j] for j in js]
 
 
 @settings(max_examples=30, deadline=None)
@@ -498,8 +500,23 @@ def test_class_table_numbering_matches_full_tuples(spec, seed, rows):
     points = _row_points(group)
     assert len(points) == rows
     table = conjugacy_classes(group)[0]._table
-    assert isinstance(table.elements, _Rebuilt) == (rows < group.degree)
+    assert (table.images is table.elements) == (rows < group.degree)
     assert_numbering_matches(group, table, points)
+
+
+def test_a_full_row_table_builds_only_the_members_read():
+    """The class build reads each class's representative, and the orbit
+    walks of a scan read the full rows themselves, so no other member's
+    image tuple is built."""
+    group = build_bsgs(construct("A(6)"))
+    classes = conjugacy_classes(group)
+    table = classes[0]._table
+    assert table.images is not table.elements
+    reps = sorted(c._members[0] for c in classes)
+    assert sorted(table.elements) == reps
+    for c in classes:
+        assert c.orbit_reps.count == len(list(c.orbit_reps))
+    assert sorted(table.elements) == reps
 
 
 def regular_s3():

@@ -330,6 +330,17 @@ class TestBaerSuzuki:
             r = baer_suzuki_set(g, classes_of(spec))
             assert r.subgroup.order == g.order
 
+    def test_the_radical_is_generated_by_the_classes_given(
+        self, group_of, classes_of
+    ):
+        s4 = group_of("S(4)")
+        klein = [c for c in classes_of("S(4)") if c.class_size == 3]
+        for radical in (baer_suzuki_set, four_conjugate_radical):
+            assert radical(s4, []).subgroup.order == 1
+            assert radical(s4, klein).subgroup.order == 4
+        d4 = group_of("D(4)")
+        assert baer_suzuki_set(d4, classes_of("D(4)")).subgroup is d4
+
     def test_witnesses_regenerate(self, group_of, classes_of):
         g = group_of("S(4)")
         r = baer_suzuki_set(g, classes_of("S(4)"))

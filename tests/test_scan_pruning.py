@@ -596,7 +596,10 @@ def test_commuting_tuples_are_not_built(group_of, classes_of, monkeypatch):
         assert all(v.in_radical_claimed for v in four.verdicts)
 
     g = klein.representative
-    assert baer_suzuki_set(s4, [klein]).verdicts[0].in_radical_claimed
+    klein_set = baer_suzuki_set(s4, [klein])
+    assert klein_set.verdicts[0].in_radical_claimed
+    # a claimed class that does not cover the group gives its normal closure
+    assert klein_set.subgroup.order == 4
     assert class_pair_solvability(s4, [klein]).all_classes_pass
     for mode, budget in ((RANDOMIZED, 20), (EXHAUSTIVE, None)):
         assert four_conjugate_element_test(

@@ -1,7 +1,7 @@
 """Smoke runs of the development scripts.
 
 `scripts/class_phases.py` reads `bsgs` internals (`_row_points`,
-`_table_rows`, `_sorted_rows`, `_Numbering`, `_Rebuilt`, a class's kept
+`_table_rows`, `_sorted_rows`, `_Numbering`, a class's kept
 `_normal_closure`), so a change to them that the script does not follow
 shows here.  `scripts/gen_sz8_fixture.py` builds the Sz(8) document in
 process, without writing it, and it must equal the shipped fixture.
