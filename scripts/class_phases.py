@@ -27,7 +27,7 @@ best time of each phase over the repetitions:
                 with the number of class normal closures they build
 
 together with |P|, whether the rows are bytes or tuples, how many
-elements the class build built as image tuples, and the peak RSS of the
+elements the class build built as image arrays, and the peak RSS of the
 process.  Each repetition builds the group afresh, so the oracles decide
 the group's own verdicts anew.
 

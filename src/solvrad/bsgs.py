@@ -7,6 +7,12 @@ worth more than randomized speed.  All search orders are canonical
 (lexicographic on image arrays, sorted orbit points), so every derived
 object is identical across runs.
 
+Every permutation the engine holds (chain levels, transversals and their
+inverses, sift residues, class members, draws) is a raw of perm's codec:
+bytes up to degree 256, composed by bytes.translate and inverted by
+bytes.maketrans, and a tuple above.  The rows and keys below follow the
+same rule (_packed).
+
 An element of a group is fixed by the images of the group's base points,
 and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
 len(base) lookups before, or instead of, building its image array.
@@ -34,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .perm import (
     DegreeMismatchError,
     Permutation,
+    Raw,
     _identity,
     _inv,
     _mul,
@@ -90,7 +97,7 @@ class GeneratorSet:
 
 
 class _Chain:
-    """Mutable stabilizer chain over raw 0-based image tuples.
+    """Mutable stabilizer chain over raws, the 0-based image arrays of perm.
 
     levels[i] generates the stabilizer of base[:i], and level_inverses[i]
     holds their inverses, each made once, when its generator joins the
@@ -117,15 +124,15 @@ class _Chain:
     )
 
     def __init__(
-        self, degree: int, gens: Sequence[tuple] = (), bound: Optional[int] = None
+        self, degree: int, gens: Sequence[Raw] = (), bound: Optional[int] = None
     ):
         self.degree = degree
         self.bound = bound
         self.base: list[int] = []
-        self.levels: list[list[tuple]] = []
-        self.level_inverses: list[list[tuple]] = []
-        self.transversals: list[dict[int, tuple]] = []
-        self.inverses: list[dict[int, tuple]] = []
+        self.levels: list[list[Raw]] = []
+        self.level_inverses: list[list[Raw]] = []
+        self.transversals: list[dict[int, Raw]] = []
+        self.inverses: list[dict[int, Raw]] = []
         self.points: list[list[int]] = []
         self._ident = _identity(degree)
         new = [g for g in gens if g != self._ident]
@@ -154,7 +161,7 @@ class _Chain:
             "lies outside the bounding group"
         )
 
-    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
+    def sift(self, g: Raw, start: int = 0) -> tuple[Raw, int]:
         """Strip g through the chain from the given level.
 
         Returns (residue, level): level is where stripping got stuck, or
@@ -170,7 +177,7 @@ class _Chain:
             g = _mul(u_inv, g)
         return g, len(self.base)
 
-    def contains(self, g: tuple) -> bool:
+    def contains(self, g: Raw) -> bool:
         residue, level = self.sift(g)
         return level == len(self.base) and residue == self._ident
 
@@ -196,7 +203,7 @@ class _Chain:
         self.inverses[i] = Tinv
         self.points[i] = sorted(T)
 
-    def _new_base_point(self, g: tuple) -> None:
+    def _new_base_point(self, g: Raw) -> None:
         bp = next(i for i, v in enumerate(g) if i != v)
         self.base.append(bp)
         self.levels.append([])
@@ -205,14 +212,14 @@ class _Chain:
         self.inverses.append({bp: self._ident})
         self.points.append([bp])
 
-    def _add_generator(self, g: tuple, first: int, last: int) -> None:
+    def _add_generator(self, g: Raw, first: int, last: int) -> None:
         """Add g, and its inverse, to the levels first..last."""
         g_inv = _inv(g)
         for l in range(first, last + 1):
             self.levels[l].append(g)
             self.level_inverses[l].append(g_inv)
 
-    def extend(self, new_gens: Iterable[tuple]) -> None:
+    def extend(self, new_gens: Iterable[Raw]) -> None:
         """Add generators and restore the strong-generating property."""
         changed = False
         for g in new_gens:
@@ -268,8 +275,8 @@ class _Chain:
             else:
                 i -= 1
 
-    def strong_generators(self) -> list[tuple]:
-        seen: dict[tuple, None] = {}
+    def strong_generators(self) -> list[Raw]:
+        seen: dict[Raw, None] = {}
         for level in self.levels:
             for g in level:
                 seen.setdefault(g)
@@ -304,7 +311,7 @@ class Bsgs:
         self._draw_blocks = self._residual = self._nilpotent = None
 
     @classmethod
-    def _wrap(cls, degree: int, chain: _Chain, defining_raw: list[tuple]) -> "Bsgs":
+    def _wrap(cls, degree: int, chain: _Chain, defining_raw: list[Raw]) -> "Bsgs":
         """Adopt an already-built chain (which must not be mutated afterwards)."""
         group = object.__new__(cls)
         group.degree = degree
@@ -354,7 +361,7 @@ class Bsgs:
     def __repr__(self) -> str:
         return f"Bsgs(degree={self.degree}, order={self._order})"
 
-    def _contains_raw(self, g: tuple) -> bool:
+    def _contains_raw(self, g: Raw) -> bool:
         return self._chain.contains(g)
 
 
@@ -400,18 +407,18 @@ def normal_closure(group: Bsgs, seeds) -> Bsgs:
         if not group.contains(s):
             raise MembershipError(f"seed {s!r} is not a member of the group")
 
-    ident = _identity(group.degree)
+    ident = group._chain._ident
     amb = group._gens_raw
     amb_inv = [_inv(a) for a in amb]
-    closure_gens: list[tuple] = []
+    closure_gens: list[Raw] = []
     for s in seed_perms:
         if s._img != ident and s._img not in closure_gens:
             closure_gens.append(s._img)
     chain = _Chain(group.degree, closure_gens, group.order)
     frontier = list(closure_gens)
     while frontier and chain.order() < group.order:
-        new: list[tuple] = []
-        batch: set[tuple] = set()
+        new: list[Raw] = []
+        batch: set[Raw] = set()
         for c in frontier:
             for a, ai in zip(amb, amb_inv):
                 t = _mul(a, _mul(c, ai))
@@ -479,15 +486,16 @@ def _getter(points: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda e: tuple([e[p] for p in points])
 
 
-def _translation(u: tuple) -> bytes:
-    """u as a bytes.translate table, byte p to u(p); the padding past the
-    degree is never read."""
-    return bytes(u).ljust(256, b"\0")
+def _translation(u: bytes) -> bytes:
+    """The bytes raw u as a bytes.translate table, byte p to u(p); the
+    padding past the degree is never read."""
+    return u.ljust(256, b"\0")
 
 
 def _packed(group: Bsgs) -> bool:
-    """Whether the class table's rows and keys are bytes, else tuples."""
-    return group.degree <= 256
+    """Whether the group's raws, and so its class table's rows and keys,
+    are bytes, else tuples: the type perm's codec gave its identity."""
+    return group._chain._ident.__class__ is bytes
 
 
 class _Numbering:
@@ -505,7 +513,7 @@ class _Numbering:
     s_i(e_j(s_i^-1(b))).  A tuple row holds e_j(b) and e_j(s_i^-1(b)) among
     its points' images; a byte row ends with them, the base's images, then
     each generator's, as slices, so that one translate by s_i maps one.
-    elements[j] is e_j's image tuple, built when read (_Rebuilt), and
+    elements[j] is e_j's raw, built when read (_Rebuilt), and
     images[j] reads e_j at any point, as its full row or elements[j].  A
     sorted list of numbers is a sorted list of members.  An orbit walk goes
     frontier by frontier, generators in order, the first discovery winning;
@@ -557,16 +565,16 @@ class _Numbering:
         self.group, self.packed = group, _packed(group)
         self.key = (lambda e: bytes(at_base(e))) if self.packed else at_base
 
-    def number(self, e: tuple) -> Optional[int]:
+    def number(self, e: Raw) -> Optional[int]:
         """Member e's number; None when no member has e's key."""
         return self.pos.get(self.key(e))
 
     def numbers(self, sub: Bsgs) -> Iterator[int]:
         """The numbers of the subgroup `sub`'s members."""
-        rows = _enumerate_raw(sub, self.group._chain.base, packed=self.packed)
+        rows = _enumerate_raw(sub, self.group._chain.base)
         return map(self.pos.__getitem__, rows)
 
-    def conjugate_key(self, s: tuple) -> Callable[[Sequence], object]:
+    def conjugate_key(self, s: Raw) -> Callable[[Sequence], object]:
         """y -> the key of s y s^-1, read as s(y(s^-1(b))), no conjugate built."""
         at_pull = _getter([s.index(b) for b in self.group._chain.base])
         if self.packed:
@@ -603,7 +611,7 @@ class _Numbering:
         self.sizes.append(len(members))
         return members
 
-    def conjugator(self, j: int, known: dict) -> tuple:
+    def conjugator(self, j: int, known: dict) -> Raw:
         """The conjugator of member j (u x u^-1 = e_j, for the root x of j's
         walk), as the product of the generators on its path up to the
         nearest member in `known`; `known` holds at least the conjugator of
@@ -635,21 +643,21 @@ class _Rebuilt(dict):
         super().__init__()
         if order is None:
             n = group.degree
-            self._build = lambda js: [tuple(rows[j][:n]) for j in js]
+            self._build = lambda js: [rows[j][:n] for j in js]
             return
         chain = group._chain
         us = list(map(chain.transversals[0].__getitem__, chain.points[0]))
-        vs = list(map(_getter, _enumerate_raw(group, level=1)))  # v -> u v
+        vs = _enumerate_raw(group, level=1)
         m = len(vs)
         self._build = lambda js: [
-            vs[i % m](us[i // m]) for i in map(order.__getitem__, js)
+            _mul(us[i // m], vs[i % m]) for i in map(order.__getitem__, js)
         ]
 
-    def __missing__(self, j: int) -> tuple:
+    def __missing__(self, j: int) -> Raw:
         e = self[j] = self._build((j,))[0]
         return e
 
-    def read(self, js: Sequence[int]) -> list[tuple]:
+    def read(self, js: Sequence[int]) -> list[Raw]:
         new = [j for j in js if j not in self]
         self.update(zip(new, self._build(new)))
         return list(map(self.__getitem__, js))
@@ -779,7 +787,7 @@ class ConjugacyClass:
         self._members = members
         self._root = root
         rep = members[0]
-        conj = _identity(self.degree)
+        conj = table.group._chain._ident
         if rep != root:
             # re-root at the canonical representative: the root's conjugator
             # becomes to_g, which maps rep back to g (to_g rep to_g^-1 = g)
@@ -789,7 +797,7 @@ class ConjugacyClass:
         self._centralizer = self._orbit_reps = self._normal_closure = None
 
     @property
-    def _elements_raw(self) -> list[tuple]:
+    def _elements_raw(self) -> list[Raw]:
         els = self._table.elements
         if isinstance(els, _Rebuilt):
             return els.read(self._members)  # in one pass
@@ -894,7 +902,7 @@ def _table_rows(group: Bsgs, points: Sequence[int]) -> list:
         return _enumerate_raw(group, points)
     base = group._chain.base
     pulls = [s.index(b) for s in group._gens_raw for b in base]
-    return _enumerate_raw(group, [*points, *base, *pulls], packed=True)
+    return _enumerate_raw(group, [*points, *base, *pulls])
 
 
 def _row_points(group: Bsgs) -> Sequence[int]:
@@ -934,7 +942,7 @@ def class_of(group: Bsgs, g: Permutation) -> ConjugacyClass:
     return ConjugacyClass(table, members, 0)
 
 
-def _orbit_numbering(group: Bsgs, x: tuple) -> _Numbering:
+def _orbit_numbering(group: Bsgs, x: Raw) -> _Numbering:
     """The conjugation orbit of x, numbered in discovery order by the walk
     that _Numbering.walk makes from x: a new base-image key of s y s^-1
     numbers, builds and links the next member.  Members are stepped from in
@@ -999,17 +1007,17 @@ def random_element(group: Bsgs, rng) -> Permutation:
                 r = getrandbits(k)
             i = i * n + r
         g = table[i] if g is None else _mul(g, table[i])
-    return Permutation._from_raw(g if g is not None else _identity(group.degree))
+    return Permutation._from_raw(g if g is not None else group._chain._ident)
 
 
-def _draw_blocks(chain: _Chain) -> list[tuple[list[int], list[tuple]]]:
+def _draw_blocks(chain: _Chain) -> list[tuple[list[int], list[Raw]]]:
     """The chain's levels grouped into blocks of consecutive levels, each
     grown while the product of its orbit sizes stays at most the degree,
     as (orbit sizes, table).  The table lists the products u_i ... u_j of
     the block's coset representatives, indexed in mixed radix by their
     points' positions in the sorted orbits, the first level most
     significant."""
-    blocks: list[tuple[list[int], list[tuple]]] = []
+    blocks: list[tuple[list[int], list[Raw]]] = []
     for t, pts in zip(chain.transversals, chain.points):
         us = [t[pt] for pt in pts]
         if blocks and len(blocks[-1][1]) * len(us) <= chain.degree:
@@ -1032,19 +1040,18 @@ def enumerate_elements(
 
 
 def _enumerate_raw(
-    group: Bsgs,
-    points: Optional[Sequence[int]] = None,
-    level: int = 0,
-    packed: bool = False,
+    group: Bsgs, points: Optional[Sequence[int]] = None, level: int = 0
 ) -> list:
-    """The images of `points` (every point when None, so the elements
-    themselves) under every element u_l ... u_k of the stabilizer of the
-    first l = `level` base points, a transversal product, ordered by the
-    indices of the u_i among their levels' sorted orbit points, the first
-    level varying slowest.  The rows are built from the last level up, from
-    the identity's row, so the longest list held besides the result has
-    |G| / |orbit 0| entries; they are tuples, or bytes when `packed`."""
+    """The images of `points` (every point when None, so the elements'
+    raws) under every element u_l ... u_k of the stabilizer of the first
+    l = `level` base points, a transversal product, ordered by the indices
+    of the u_i among their levels' sorted orbit points, the first level
+    varying slowest.  The rows are built from the last level up, from the
+    identity's row, so the longest list held besides the result has
+    |G| / |orbit 0| entries; they are bytes when the group's raws are
+    (_packed), else tuples."""
     chain = group._chain
+    packed = _packed(group)
     row = range(group.degree) if points is None else points
     products = [bytes(row) if packed else tuple(row)]
     levels = zip(chain.transversals[level:], chain.points[level:])

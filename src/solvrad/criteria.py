@@ -61,14 +61,13 @@ from .bsgs import (
     MembershipError,
     _OrbitReps,
     _check_element_cap,
-    _getter,
     centralizer,
     class_of,
     conjugacy_classes,
     normal_closure,
     random_element,
 )
-from .perm import Permutation, _inv, _mul, is_prime
+from .perm import Permutation, Raw, _inv, _mul, _raw, is_prime
 from .structure import (
     CRITERION,
     FITTING,
@@ -253,14 +252,14 @@ class _Cover:
         "_g", "_commuting",
     )
 
-    def __init__(self, g: tuple):
+    def __init__(self, g: Raw):
         self._g = g
         self._commuting: set[int] = set()  # masks of commuting tuples
         self.groups: list[Bsgs] = []
         self.tested: list[int] = []
         self.inside: list[int] = []
-        self.bits: dict[tuple, int] = {}  # conjugate -> its bit
-        self.conj: list[tuple] = []  # bit position -> its conjugate
+        self.bits: dict[Raw, int] = {}  # conjugate -> its bit
+        self.conj: list[Raw] = []  # bit position -> its conjugate
         self.powers = 0  # the bits of the conjugates that are powers of g
         self._g_powers = {g}
         p = _mul(g, g)
@@ -268,7 +267,7 @@ class _Cover:
             self._g_powers.add(p)
             p = _mul(p, g)
 
-    def bit(self, h: tuple) -> int:
+    def bit(self, h: Raw) -> int:
         b = self.bits.get(h)
         if b is None:
             b = self.bits[h] = 1 << len(self.conj)
@@ -325,7 +324,7 @@ class _Cover:
 
 
 def _first_failure(
-    group: Bsgs, g_raw: tuple, candidates, predicate, members=(), depth: int = 0
+    group: Bsgs, g_raw: Raw, candidates, predicate, members=(), depth: int = 0
 ) -> Optional[tuple[int, tuple, Bsgs]]:
     """The first tuple of conjugates (h1, ..., hk) of `candidates`, in their
     order, each extended by `depth` further conjugates from `members`, one
@@ -464,8 +463,8 @@ def _class_scan(
 
 
 class _Draws:
-    """The `random_element` draws of one seeded stream, as raw image tuples,
-    drawn when first read and then kept, each with its inverse's getter.
+    """The `random_element` draws of one seeded stream, as raws, drawn when
+    first read and then kept, each with its inverse.
     Sample i of k conjugators is draws k*i ... k*i + k - 1, which is what k
     draws at a time from a fresh random.Random(rng_seed) give, so searches
     that share the stream read the samples each would draw alone, and each
@@ -476,28 +475,29 @@ class _Draws:
     def __init__(self, group: Bsgs, rng_seed: int):
         self._group = group
         self._rng = random.Random(rng_seed)
-        self._raws: list[tuple] = []
-        self._invs: list = []
+        self._raws: list[Raw] = []
+        self._invs: list[Raw] = []
 
     def _draw_to(self, stop: int) -> None:
         raws, invs = self._raws, self._invs
         while len(raws) < stop:
             x = random_element(self._group, self._rng)._img
             raws.append(x)
-            invs.append(_getter(_inv(x)))
+            invs.append(_inv(x))
 
-    def sample(self, i: int, k: int) -> list[tuple]:
+    def sample(self, i: int, k: int) -> list[Raw]:
         stop = k * (i + 1)
         self._draw_to(stop)
         return self._raws[stop - k:stop]
 
-    def conjugates(self, i: int, k: int, at_g) -> tuple:
-        """The x g x^-1 of sample i, `at_g` g's getter: two C gathers, as
-        (x g x^-1)[j] = (x o g)[x^-1[j]]."""
+    def conjugates(self, i: int, k: int, g: Raw) -> tuple:
+        """The x g x^-1 of sample i, for the raw g: two products each."""
         stop = k * (i + 1)
         self._draw_to(stop)
         raws, invs = self._raws, self._invs
-        return tuple([invs[j](at_g(raws[j])) for j in range(stop - k, stop)])
+        return tuple([
+            _mul(_mul(raws[j], g), invs[j]) for j in range(stop - k, stop)
+        ])
 
 
 def _random_search(
@@ -513,10 +513,9 @@ def _random_search(
     covered, so the verdict, witness and `tuples_checked` are those of
     building every sample.  The searches of one radical run share one
     stream, so each sample is drawn once and every class reads it; only the
-    conjugates x g x^-1, from g's getter, and the cover are the class's own.
+    conjugates x g x^-1 and the cover are the class's own.
     """
-    at_g = _getter(g._img)
-    samples = (draws.conjugates(i, k, at_g) for i in range(budget))
+    samples = (draws.conjugates(i, k, g._img) for i in range(budget))
     failure = _first_failure(group, g._img, samples, is_solvable)
     if failure is None:
         return CriterionVerdict(g, True, None, RANDOMIZED, budget)
@@ -788,7 +787,7 @@ def transposition_triple_sharpness(n: int) -> SharpnessReport:
 def _transposition(n: int, i: int, j: int) -> Permutation:
     img = list(range(n))
     img[i], img[j] = j, i
-    return Permutation._from_raw(tuple(img))
+    return Permutation._from_raw(_raw(img))
 
 
 def _triple_shape(edges) -> tuple:

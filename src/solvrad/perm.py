@@ -4,7 +4,16 @@ Composition convention (fixed for the whole package): ``compose(p, q)``
 applies q FIRST, then p, i.e. the result maps i to p(q(i)).  Conjugation
 is ``conjugate(g, a) = a o g o a^-1`` and the commutator is
 ``commutator(x, y) = x o y o x^-1 o y^-1``.  All public surfaces are
-1-based; the internal image arrays are 0-based.
+1-based.
+
+Internally a permutation of degree n is its raw: the 0-based images of
+0..n-1, as ``bytes`` when n <= 256, so that a byte holds every point, and as
+a tuple of ints above.  ``_raw`` is the one place that picks the type.  On
+bytes, composition is one ``bytes.translate`` and inversion one
+``bytes.maketrans``, both in C; bytes compare by memcmp, which is the
+tuple order of the images, so sorting and the canonical order are those of
+the image arrays either way.  Every raw of one degree has the same type,
+so raws of a group compare, hash and sort among themselves.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import itemgetter
-from typing import Sequence
+from typing import Sequence, Union
 
 
 class DegreeMismatchError(ValueError):
@@ -23,27 +32,40 @@ class CycleFormatError(ValueError):
     """Malformed, repeated or out-of-range cycle text."""
 
 
-def _mul(p: tuple, q: tuple) -> tuple:
-    # raw 0-based composition, apply q first: r[i] = p[q[i]]; itemgetter
-    # builds the tuple in C.  With one index it returns a bare int, but the
-    # only permutation of degree 1 is the identity, so p is the product.
-    if len(q) == 1:
-        return p
+Raw = Union[bytes, tuple]  # a permutation's 0-based images, see _raw
+_BYTE_POINTS = bytes(range(256))  # the points a byte holds, in order
+
+
+def _raw(seq: Sequence[int]) -> Raw:
+    """The raw of the 0-based image array `seq`: bytes when its degree is at
+    most 256, else a tuple."""
+    return bytes(seq) if len(seq) <= 256 else tuple(seq)
+
+
+def _mul(p: Raw, q: Raw) -> Raw:
+    """Raw composition, apply q first: r[i] = p[q[i]], in C.  For bytes, q
+    translated by p's images, padded to a translate table."""
+    if q.__class__ is bytes:
+        return q.translate(p.ljust(256, b"\0"))
     return itemgetter(*q)(p)
 
 
-def _inv(p: tuple) -> tuple:
-    out = [0] * len(p)
+def _inv(p: Raw) -> Raw:
+    """Raw inverse.  For bytes, the table that maps byte p[i] to i."""
+    n = len(p)
+    if p.__class__ is bytes:
+        return bytes.maketrans(p, _BYTE_POINTS[:n])[:n]
+    out = [0] * n
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
 
 
-def _identity(n: int) -> tuple:
-    return tuple(range(n))
+def _identity(n: int) -> Raw:
+    return _raw(range(n))
 
 
-def _power(p: tuple, e: int) -> tuple:
+def _power(p: Raw, e: int) -> Raw:
     """Raw p^e for e >= 0, by repeated squaring from the identity."""
     r = _identity(len(p))
     while e:
@@ -62,14 +84,14 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         """Build from the 1-based image array: images[i-1] is the image of i."""
-        img = tuple(v - 1 for v in images)
+        img = [v - 1 for v in images]
         n = len(img)
         if sorted(img) != list(range(n)):
             raise ValueError(f"not a bijection of 1..{n}: {list(images)!r}")
-        self._img = img
+        self._img = _raw(img)
 
     @classmethod
-    def _from_raw(cls, img: tuple) -> "Permutation":
+    def _from_raw(cls, img: Raw) -> "Permutation":
         p = object.__new__(cls)
         p._img = img
         return p
@@ -114,7 +136,7 @@ class Permutation:
         return Permutation._from_raw(_power(self._img, k))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self._img))
+        return self._img == _identity(len(self._img))
 
     def order(self) -> int:
         """Least k >= 1 with p^k = identity: the lcm of the cycle lengths."""
@@ -155,8 +177,12 @@ class Permutation:
         return hash(self._img)
 
     def __lt__(self, other: "Permutation") -> bool:
-        # canonical order: lexicographic on image arrays
-        return self._img < other._img
+        # canonical order: lexicographic on image arrays, memcmp on bytes;
+        # raws of degrees either side of 256 differ in type
+        a, b = self._img, other._img
+        if a.__class__ is not b.__class__:
+            return tuple(a) < tuple(b)
+        return a < b
 
     def __repr__(self) -> str:
         return f"Permutation({print_cycles(self)!r}, degree={self.degree})"
@@ -232,7 +258,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(points, points[1:]):
             img[a - 1] = b - 1
         img[points[-1] - 1] = points[0] - 1
-    return Permutation._from_raw(tuple(img))
+    return Permutation._from_raw(_raw(img))
 
 
 def print_cycles(p: Permutation) -> str:

@@ -23,7 +23,15 @@ from solvrad.bsgs import (
     _Chain,
 )
 from solvrad.criteria import _span
-from solvrad.perm import DegreeMismatchError, Permutation, _inv, _mul, parse_cycles
+from solvrad.perm import (
+    DegreeMismatchError,
+    Permutation,
+    _identity,
+    _inv,
+    _mul,
+    _raw,
+    parse_cycles,
+)
 from solvrad.structure import derived_subgroup
 
 SMALL_SPECS = [
@@ -340,7 +348,7 @@ def _check_chain(group, seed=0, samples=20):
     agrees with a sift that inverts on the fly, from every level, on random
     members and on random permutations of the degree."""
     chain = group._chain
-    ident = tuple(range(chain.degree))
+    ident = _identity(chain.degree)
     assert len(chain.inverses) == len(chain.points) == len(chain.base)
     for t, t_inv, pts in zip(chain.transversals, chain.inverses, chain.points):
         assert t_inv.keys() == t.keys()
@@ -352,7 +360,7 @@ def _check_chain(group, seed=0, samples=20):
     for _ in range(samples):
         images = list(ident)
         rng.shuffle(images)
-        candidates.append(tuple(images))
+        candidates.append(_raw(images))
     for g in candidates:
         for start in range(len(chain.base) + 1):
             assert chain.sift(g, start) == _reference_sift(chain, g, start)
@@ -417,7 +425,7 @@ class _UnboundedChain(_Chain):
 def _unbounded_closure(group, seeds):
     """normal_closure without the bound: every conjugation round runs, and
     every chain extension sweeps to the end."""
-    ident = tuple(range(group.degree))
+    ident = _identity(group.degree)
     amb = group._gens_raw
     closure_gens = []
     for s in seeds:
@@ -571,7 +579,7 @@ def _reference_enumeration(group):
         for pt in sorted(chain.transversals[i]):
             yield from rec(i + 1, _mul(prefix, chain.transversals[i][pt]))
 
-    return list(rec(0, tuple(range(group.degree))))
+    return list(rec(0, _identity(group.degree)))
 
 
 # The first 20 draws of random.Random(5), as image strings: a seeded
@@ -596,7 +604,7 @@ def _reference_draw(group, rng):
     """u_0 u_1 ... u_k with one product per chain level, each u_i drawn by
     rng.randrange over level i's sorted orbit points."""
     chain = group._chain
-    g = tuple(range(group.degree))
+    g = _identity(group.degree)
     for t in chain.transversals:
         pts = sorted(t)
         g = _mul(g, t[pts[rng.randrange(len(pts))]])
@@ -684,6 +692,35 @@ class TestBaseImageKeys:
                 assert key(y) == table.key(z)
                 assert type(key(y)) is (bytes if g.degree <= 256 else tuple)
                 assert tuple(key(y)) == tuple(z[b] for b in base)
+
+
+# Either side of the byte raws: degrees 65, 256 and 257.
+RAW_TYPE_SPECS = ["file:sz8.json", "direct(C(253),S(3))", "C(257)"]
+
+
+@pytest.mark.parametrize("spec", RAW_TYPE_SPECS)
+def test_engine_raws_take_the_degree_type(spec, group_of, classes_of):
+    """Every permutation the engine holds is bytes up to degree 256, and a
+    tuple above: generators, chain levels, transversals and inverses, sift
+    residues, draws, enumerated elements, class members and conjugators,
+    and the chains of centralizers and normal closures."""
+    g = group_of(spec)
+    raw_type = bytes if g.degree <= 256 else tuple
+    x = random_element(g, random.Random(0))
+    cls = class_of(g, x)
+    cent, closure = centralizer(g, x, cls), normal_closure(g, [x])
+    raws = [*g._gens_raw, x._img, g._chain.sift(x._img)[0]]
+    raws += [e._img for _, e in zip(range(5), enumerate_elements(g))]
+    raws += [*cls._elements_raw[:5], cls.conjugator(x)._img]
+    classes = classes_of(spec)
+    raws += [c.representative._img for c in classes] + classes[-1]._elements_raw
+    for chain in (g._chain, cent._chain, closure._chain):
+        raws += [chain._ident, *chain.strong_generators()]
+        raws += [s for level in chain.level_inverses for s in level]
+        for t, t_inv in zip(chain.transversals, chain.inverses):
+            raws += [*t.values(), *t_inv.values()]
+    assert {type(r) for r in raws} == {raw_type}
+    assert all(len(r) == g.degree for r in raws)
 
 
 class TestRandomAndEnumerate:

@@ -47,7 +47,7 @@ from solvrad.bsgs import (
     same_subgroup,
 )
 from solvrad.criteria import reduced_conjugate_orbit
-from solvrad.perm import Permutation, _identity, _inv, _mul
+from solvrad.perm import Permutation, _identity, _inv, _mul, _raw
 from solvrad.zoo import construct
 
 SPECS = ["S(4)", "S(5)", "A(5)", "D(6)", "PSL2(7)", "direct(C(5),A(5))"]
@@ -358,7 +358,7 @@ def test_conjugator_rejects_non_members(group_of, classes_of):
     h = list(cls._elements_raw[-1])
     i, j = (p for p in range(5) if p not in group._chain.base)
     h[i], h[j] = h[j], h[i]
-    impostor = Permutation._from_raw(tuple(h))
+    impostor = Permutation._from_raw(_raw(h))
     assert not group.contains(impostor)
     with pytest.raises(MembershipError):
         cls.conjugator(impostor)
@@ -431,7 +431,7 @@ def assert_numbering_matches(group, table, points):
     n = len(elements)
     assert [table.elements[j] for j in range(n)] == elements
     degree = group.degree
-    assert [tuple(table.images[j][:degree]) for j in range(n)] == elements
+    assert [table.images[j][:degree] for j in range(n)] == elements
     assert [table.number(e) for e in elements] == list(range(n))
     assert len(table.pos) == n
     assert type(table.key(elements[0])) is (bytes if group.degree <= 256 else tuple)
@@ -525,7 +525,7 @@ def regular_s3():
     elements = sorted(p._img for p in enumerate_elements(build_bsgs(construct("S(3)"))))
     place = {e: i for i, e in enumerate(elements)}
     gens = [
-        Permutation._from_raw(tuple(place[_mul(s, e)] for e in elements))
+        Permutation._from_raw(_raw([place[_mul(s, e)] for e in elements]))
         for s in elements[1:3]
     ]
     return build_bsgs(GeneratorSet(6, gens))
@@ -536,7 +536,7 @@ def test_one_point_rows():
     assert group.order == 6 and len(group._chain.base) == 1
     elements = _enumerate_raw(group)
     for p in range(6):
-        assert _enumerate_raw(group, [p]) == [(e[p],) for e in elements]
+        assert list(map(tuple, _enumerate_raw(group, [p]))) == [(e[p],) for e in elements]
     points = row_points(group)
     assert len(points) < group.degree
     assert_numbering_matches(group, numbered(group, points), points)

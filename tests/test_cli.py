@@ -611,3 +611,34 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["command"] == "verify two"
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # bytes hashes, unlike int-tuple hashes, are salted by PYTHONHASHSEED, so
+    # a report that iterated a set of permutations would change with it
+    entries = [
+        {"command": "two", "spec": "file:sz8.json"},
+        {"command": "pairs", "spec": "file:sz8.json"},
+        {"command": "four", "spec": "direct(S(4),S(4))", "flags": {"randomized": True}},
+        {"command": "thompson", "spec": "direct(S(4),S(3))"},
+    ]
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"entries": entries}))
+    src = str(Path(solvrad.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    texts = []
+    for hash_seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + (os.pathsep + path if path else ""),
+            PYTHONHASHSEED=hash_seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvrad", "suite", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(proc.stdout)
+        assert [e["exit_code"] for e in report["details"]["entries"]] == [0] * 4
+        texts.append(json.dumps(strip_timing(report)))
+    assert texts[0] == texts[1]

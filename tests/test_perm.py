@@ -14,8 +14,11 @@ from solvrad.perm import (
     order,
     parse_cycles,
     print_cycles,
+    _identity,
     _inv,
     _mul,
+    _power,
+    _raw,
 )
 
 
@@ -67,22 +70,41 @@ class TestCompose:
         with pytest.raises(DegreeMismatchError):
             compose(P("(1,2)", 3), P("(1,2)", 4))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 65, 100])
+    # either side of the byte raws: a byte holds the points 0..255
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 100, 255, 256, 257, 300])
     @settings(max_examples=30)
     @given(data=st.data())
     def test_raw_primitives_match_their_definitions(self, n, data):
-        p, q = (data.draw(perms_of(n))._img for _ in range(2))
+        raw_type = bytes if n <= 256 else tuple
+        perm = data.draw(perms_of(n))
+        p, q = perm._img, data.draw(perms_of(n))._img
+        assert type(p) is raw_type and list(p) == [v - 1 for v in perm.images]
+        assert parse_cycles(print_cycles(perm), n)._img == p == _raw(list(p))
+        assert type(_identity(n)) is raw_type and list(_identity(n)) == list(range(n))
+        assert Permutation.identity(n)._img == _identity(n)
         pq = _mul(p, q)
-        assert type(pq) is tuple and pq == tuple(p[i] for i in q)
+        assert type(pq) is raw_type and tuple(pq) == tuple(p[i] for i in q)
         r = [None] * n
         for i in range(n):
             r[p[i]] = i
-        assert type(_inv(p)) is tuple and _inv(p) == tuple(r)
+        assert type(_inv(p)) is raw_type and tuple(_inv(p)) == tuple(r)
+        e = data.draw(st.integers(min_value=0, max_value=7))
+        power = tuple(range(n))
+        for _ in range(e):
+            power = tuple(power[i] for i in p)
+        assert type(_power(p, e)) is raw_type and tuple(_power(p, e)) == power
 
-    def test_degree_one_product_is_a_tuple(self):
-        # itemgetter with one index returns a bare item; degree 1 is guarded
-        assert _mul((0,), (0,)) == (0,)
-        assert type(_mul((0,), (0,))) is tuple
+    @pytest.mark.parametrize("n", [3, 256, 300])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_order_is_lexicographic_on_image_arrays(self, n, data):
+        ps = [data.draw(perms_of(m)) for m in (n, n, 257, 2)]
+        assert sorted(ps) == sorted(ps, key=lambda p: p.images)
+
+    def test_degree_one_product_is_the_degree_raw(self):
+        # the only permutation of degree 1 is the identity, a one-byte raw
+        assert _mul(b"\0", b"\0") == b"\0" == _inv(b"\0") == _identity(1)
+        assert type(_mul(b"\0", b"\0")) is bytes
 
 
 class TestOrderInverse:

@@ -33,7 +33,6 @@ import solvrad.criteria
 from solvrad.bsgs import (
     Bsgs,
     GeneratorSet,
-    _getter,
     build_bsgs,
     class_of,
     conjugacy_classes,
@@ -61,7 +60,9 @@ from solvrad.criteria import (
     two_conjugate_radical,
     two_conjugate_test,
 )
-from solvrad.perm import Permutation, _inv, _mul, conjugate, is_prime, parse_cycles
+from solvrad.perm import (
+    Permutation, _inv, _mul, _raw, conjugate, is_prime, parse_cycles,
+)
 from solvrad.zoo import construct
 from solvrad.structure import is_nilpotent, is_solvable
 
@@ -504,8 +505,7 @@ def test_a_randomized_radical_draws_each_sample_once(budget, group_of, classes_o
 
 @pytest.mark.parametrize("spec", ["S(1)", "S(2)", "direct(S(4),S(4))", "file:sz8.json"])
 def test_gathered_conjugates_are_conjugates(spec, group_of):
-    # S(1) takes _getter's lookup path (itemgetter gives a bare item for one
-    # index), S(2) the smallest itemgetter path, Sz(8) has degree 65
+    # S(1) and S(2) give the shortest byte raws, Sz(8) has degree 65
     group = group_of(spec)
     gs = [random_element(group, random.Random(s)) for s in range(3)]
     gs += group.generators
@@ -513,7 +513,7 @@ def test_gathered_conjugates_are_conjugates(spec, group_of):
         draws = _Draws(group, 7)
         furthest = -1
         for i in (4, 0, 9, 2, 9):
-            got = [draws.conjugates(i, k, _getter(g._img)) for g in gs]
+            got = [draws.conjugates(i, k, g._img) for g in gs]
             # the stream holds the draws of every sample up to the furthest
             furthest = max(furthest, i)
             assert len(draws._raws) == len(draws._invs) == k * (furthest + 1)
@@ -708,7 +708,7 @@ def reference_sharpness(n):
     for i, j in combinations(range(n), 2):
         img = list(range(n))
         img[i], img[j] = j, i
-        transpositions.append(tuple(img))
+        transpositions.append(_raw(img))
     subs = [_span(n, triple) for triple in combinations(transpositions, 3)]
     return SharpnessReport(
         triples_checked=len(subs),
