@@ -8,9 +8,9 @@ one-member class is its own only orbit representative), and prints the
 best time of each phase over the repetitions:
 
     rows        the class table's rows: the transversal products' images
-                of the row points P, and, as bytes when the degree is at
-                most 256, then of the base points and each generator's
-                points s^-1(b) (`_row_points`, `_table_rows`)
+                of the row points P, then of the base points and each
+                generator's points s^-1(b), as bytes when the degree is at
+                most 256, else as tuples (`_row_points`, `_table_rows`)
     sort        sorting the rows, which numbers the elements
     index       the base-image keys and the generators' conjugation actions
                 on the numbers (`_Numbering`)

@@ -8,21 +8,19 @@ worth more than randomized speed.  All search orders are canonical
 object is identical across runs.
 
 Every permutation the engine holds (chain levels, transversals and their
-inverses, sift residues, class members, draws) is a raw of perm's codec:
-bytes up to degree 256, composed by bytes.translate and inverted by
-bytes.maketrans, and a tuple above.  The rows and keys below follow the
-same rule (_packed).
+inverses, sift residues, class members, draws) is a raw of perm's codec,
+and the class table's rows and keys are rows of it: this module composes
+and reads them through perm (_row, _mul_rows, _reader), never by type.
 
 An element of a group is fixed by the images of the group's base points,
 and (s y s^-1)(b) = s(y(s^-1(b))), so a conjugate is identified from
 len(base) lookups before, or instead of, building its image array.
 Conjugacy classes number the sorted group once (_Numbering) from rows, the
 images of the few points that order the elements and key their conjugates,
-bytes when the degree fits a byte, and build an element when it is read;
-class_of numbers one class in the walk that finds it.  Each generator's
-conjugation action is an array of numbers, and the class walks run on them,
-recording a class id, a parent and a generator per element instead of a
-conjugator.  Conjugators, and a centralizer's Schreier generators, are read
+and build an element when it is read; class_of numbers one class in the
+walk that finds it.  Each generator's conjugation action is an array of
+numbers, and the class walks run on them, recording a class id, a parent
+and a generator per element instead of a conjugator.  Conjugators, and a centralizer's Schreier generators, are read
 from those arrays on demand: every centralizer reads the walk of its
 element's class, so no orbit is walked twice.  Centralizer-orbit
 representatives are produced lazily, as far as a scan reads them, and
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -44,6 +41,9 @@ from .perm import (
     _identity,
     _inv,
     _mul,
+    _mul_rows,
+    _reader,
+    _row,
 )
 
 DEFAULT_ELEMENT_CAP = 200_000
@@ -476,28 +476,6 @@ def centralizer(
     return Bsgs._wrap(group.degree, chain, chain.strong_generators())
 
 
-def _getter(points: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """e -> the tuple of e's items at `points`; at the base points, e's base
-    image, which fixes e within its group.  itemgetter builds it in C, but
-    returns a bare item for one index, so fewer than two points take the
-    plain lookups."""
-    if len(points) > 1:
-        return itemgetter(*points)
-    return lambda e: tuple([e[p] for p in points])
-
-
-def _translation(u: bytes) -> bytes:
-    """The bytes raw u as a bytes.translate table, byte p to u(p); the
-    padding past the degree is never read."""
-    return u.ljust(256, b"\0")
-
-
-def _packed(group: Bsgs) -> bool:
-    """Whether the group's raws, and so its class table's rows and keys,
-    are bytes, else tuples: the type perm's codec gave its identity."""
-    return group._chain._ident.__class__ is bytes
-
-
 class _Numbering:
     """Members of a group, numbered once, with the conjugation action of
     the group's generators on the numbers and the orbit walks over it: the
@@ -506,16 +484,14 @@ class _Numbering:
 
     The whole group comes as sorted rows (_table_rows), when order[j] is
     row j's place in the enumeration: e_j's images of the sorted `points`,
-    every point or the row points (_row_points).  Rows and keys are bytes
-    when `packed`, else tuples, and only the table makes keys.  pos maps a
-    member's key, its base image, to its number j, and actions[i][j] is the
-    number of s_i e_j s_i^-1, for the i-th group generator s_i, keyed by
-    s_i(e_j(s_i^-1(b))).  A tuple row holds e_j(b) and e_j(s_i^-1(b)) among
-    its points' images; a byte row ends with them, the base's images, then
-    each generator's, as slices, so that one translate by s_i maps one.
-    elements[j] is e_j's raw, built when read (_Rebuilt), and
-    images[j] reads e_j at any point, as its full row or elements[j].  A
-    sorted list of numbers is a sorted list of members.  An orbit walk goes
+    every point or the row points (_row_points), then of the base, then of
+    each generator's points s_i^-1(b), as slices.  Only the table makes
+    keys.  pos maps a member's key, its base image, to its number j, and
+    actions[i][j] is the number of s_i e_j s_i^-1, keyed by
+    s_i(e_j(s_i^-1(b))): the row's slice for s_i composed with s_i.
+    elements[j] is e_j's raw, built when read (_Rebuilt), and images[j]
+    reads e_j at any point, as its full row or elements[j].  A sorted list
+    of numbers is a sorted list of members.  An orbit walk goes
     frontier by frontier, generators in order, the first discovery winning;
     it gives each member it reaches its orbit's id (`cid`), and, except at
     its root, the member it came from (`parent`, -1 at a root) and the
@@ -525,31 +501,19 @@ class _Numbering:
     """
 
     __slots__ = (
-        "group", "packed", "key", "images", "elements", "pos", "actions",
+        "group", "key", "images", "elements", "pos", "actions",
         "cid", "parent", "via", "sizes",
     )
 
     def __init__(
         self, group: Bsgs, rows: list, points: Sequence, order: Optional[list] = None
     ):
-        self._codec(group)
-        n, base, gens = len(rows), group._chain.base, group._gens_raw
-        if self.packed:  # slices of the row's last images, each mapped by s
-            k, m = len(points), len(base)
-            starts = [k + i * m for i in range(len(gens) + 1)]
-            key, *cuts = [itemgetter(slice(j, j + m)) for j in starts]
-            conjugates = [
-                map(bytes.translate, map(cut, rows), repeat(_translation(s)))
-                for s, cut in zip(gens, cuts)
-            ]
-        else:  # in C, column by column, at the points' places
-            at = {p: j for j, p in enumerate(points)}
-            key = _getter([at[b] for b in base])
-            conjugates = [
-                zip(*[map(s.__getitem__, map(itemgetter(at[s.index(b)]), rows))
-                      for b in base])
-                for s in gens
-            ]
+        self._keyed(group)
+        n, gens = len(rows), group._gens_raw
+        k, m = len(points), len(group._chain.base)
+        starts = [k + i * m for i in range(len(gens) + 1)]
+        key, *cuts = [itemgetter(slice(j, j + m)) for j in starts]
+        conjugates = (_mul_rows([s], map(cut, rows)) for s, cut in zip(gens, cuts))
         self.pos = dict(zip(map(key, rows), range(n)))
         self.actions = [list(map(self.pos.__getitem__, keys)) for keys in conjugates]
         self.elements = _Rebuilt(group, rows, order)
@@ -559,11 +523,9 @@ class _Numbering:
         self.via = [0] * n
         self.sizes: list[int] = []
 
-    def _codec(self, group: Bsgs) -> None:
-        """Take the group and its key format: `key(e)` is e's base image."""
-        at_base = _getter(group._chain.base)
-        self.group, self.packed = group, _packed(group)
-        self.key = (lambda e: bytes(at_base(e))) if self.packed else at_base
+    def _keyed(self, group: Bsgs) -> None:
+        """Take the group and its key: `key(e)` is e's base image."""
+        self.group, self.key = group, _reader(group._chain.base, group.degree)
 
     def number(self, e: Raw) -> Optional[int]:
         """Member e's number; None when no member has e's key."""
@@ -576,11 +538,8 @@ class _Numbering:
 
     def conjugate_key(self, s: Raw) -> Callable[[Sequence], object]:
         """y -> the key of s y s^-1, read as s(y(s^-1(b))), no conjugate built."""
-        at_pull = _getter([s.index(b) for b in self.group._chain.base])
-        if self.packed:
-            table = _translation(s)
-            return lambda y: bytes(at_pull(y)).translate(table)
-        return lambda y: tuple(map(s.__getitem__, at_pull(y)))
+        group = self.group
+        return _reader([s.index(b) for b in group._chain.base], group.degree, s)
 
     def whole(self) -> bool:
         """Whether the numbered set is the whole group."""
@@ -898,8 +857,6 @@ def _sorted_rows(
 
 def _table_rows(group: Bsgs, points: Sequence[int]) -> list:
     """The class table's rows (see _Numbering), in enumeration order."""
-    if not _packed(group):
-        return _enumerate_raw(group, points)
     base = group._chain.base
     pulls = [s.index(b) for s in group._gens_raw for b in base]
     return _enumerate_raw(group, [*points, *base, *pulls])
@@ -949,7 +906,7 @@ def _orbit_numbering(group: Bsgs, x: Raw) -> _Numbering:
     number order, so each step appends the key's number to s's actions."""
     gens = group._gens_raw
     table = object.__new__(_Numbering)
-    table._codec(group)
+    table._keyed(group)
     table.actions = [[] for _ in gens]
     elements = table.images = table.elements = [x]
     pos = table.pos = {table.key(x): 0}
@@ -1048,19 +1005,11 @@ def _enumerate_raw(
     of the u_i among their levels' sorted orbit points, the first level
     varying slowest.  The rows are built from the last level up, from the
     identity's row, so the longest list held besides the result has
-    |G| / |orbit 0| entries; they are bytes when the group's raws are
-    (_packed), else tuples."""
+    |G| / |orbit 0| entries, in perm's codec for the degree."""
     chain = group._chain
-    packed = _packed(group)
     row = range(group.degree) if points is None else points
-    products = [bytes(row) if packed else tuple(row)]
+    products = [_row(row, group.degree)]
     levels = zip(chain.transversals[level:], chain.points[level:])
     for t, pts in reversed(list(levels)):
-        # u p is p's row translated by u, or u read by p's getter: in C
-        us = [t[pt] for pt in pts]
-        if packed:
-            us, getters = map(_translation, us), [p.translate for p in products]
-        else:
-            getters = list(map(_getter, products))
-        products = [get(u) for u in us for get in getters]
+        products = list(_mul_rows([t[pt] for pt in pts], products))
     return products

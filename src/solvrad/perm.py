@@ -8,20 +8,23 @@ is ``conjugate(g, a) = a o g o a^-1`` and the commutator is
 
 Internally a permutation of degree n is its raw: the 0-based images of
 0..n-1, as ``bytes`` when n <= 256, so that a byte holds every point, and as
-a tuple of ints above.  ``_raw`` is the one place that picks the type.  On
-bytes, composition is one ``bytes.translate`` and inversion one
+a tuple of ints above.  This module is the one place that knows the codec.
+On bytes, composition is one ``bytes.translate`` and inversion one
 ``bytes.maketrans``, both in C; bytes compare by memcmp, which is the
 tuple order of the images, so sorting and the canonical order are those of
 the image arrays either way.  Every raw of one degree has the same type,
-so raws of a group compare, hash and sort among themselves.
+so raws of a group compare, hash and sort among themselves.  A row is the
+images of some points under a raw, in its degree's codec (``_row``); rows
+are composed (``_mul_rows``) and read (``_reader``) here alone.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import itemgetter
-from typing import Sequence, Union
+from itertools import chain, repeat
+from operator import call, itemgetter
+from typing import Callable, Iterator, Sequence, Union
 
 
 class DegreeMismatchError(ValueError):
@@ -36,10 +39,49 @@ Raw = Union[bytes, tuple]  # a permutation's 0-based images, see _raw
 _BYTE_POINTS = bytes(range(256))  # the points a byte holds, in order
 
 
+def _row(points: Sequence[int], degree: int) -> Raw:
+    """The identity's row at `points` in the codec of `degree`: bytes when
+    the degree is at most 256, else a tuple."""
+    return bytes(points) if degree <= 256 else tuple(points)
+
+
 def _raw(seq: Sequence[int]) -> Raw:
-    """The raw of the 0-based image array `seq`: bytes when its degree is at
-    most 256, else a tuple."""
-    return bytes(seq) if len(seq) <= 256 else tuple(seq)
+    """The raw of the 0-based image array `seq`."""
+    return _row(seq, len(seq))
+
+
+def _getter(points: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """e -> the tuple of e's items at `points`.  itemgetter builds it in C,
+    but returns a bare item for one index, so fewer than two points take
+    the plain lookups."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda e: tuple([e[p] for p in points])
+
+
+def _mul_rows(ps: Sequence[Raw], rows) -> Iterator[Raw]:
+    """_mul(p, q) for each raw p, then each row q, lazily, each product in
+    C: a byte row translated by p's table, a tuple row's getter read on p.
+    Byte rows are read once per p, so several ps need a list of rows."""
+    if ps and ps[0].__class__ is bytes:
+        return chain.from_iterable(
+            map(bytes.translate, rows, repeat(p.ljust(256, b"\0"))) for p in ps
+        )
+    getters = list(map(_getter, rows))
+    return chain.from_iterable(map(call, getters, repeat(p)) for p in ps)
+
+
+def _reader(points: Sequence[int], degree: int, after: Raw | None = None) -> Callable:
+    """e -> the row of after o e at `points` in the codec of `degree`: e's
+    images there, mapped by the raw `after` when given.  e may be a raw or
+    a longer row that starts with one."""
+    get = _getter(points)
+    if degree > 256:
+        return get if after is None else lambda e: tuple(map(after.__getitem__, get(e)))
+    if after is None:
+        return lambda e: bytes(get(e))
+    table = after.ljust(256, b"\0")
+    return lambda e: bytes(get(e)).translate(table)
 
 
 def _mul(p: Raw, q: Raw) -> Raw:
@@ -86,6 +128,8 @@ class Permutation:
         """Build from the 1-based image array: images[i-1] is the image of i."""
         img = [v - 1 for v in images]
         n = len(img)
+        if not n:
+            raise ValueError("degree must be a positive integer")
         if sorted(img) != list(range(n)):
             raise ValueError(f"not a bijection of 1..{n}: {list(images)!r}")
         self._img = _raw(img)
@@ -179,6 +223,8 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         # canonical order: lexicographic on image arrays, memcmp on bytes;
         # raws of degrees either side of 256 differ in type
+        if not isinstance(other, Permutation):
+            return NotImplemented
         a, b = self._img, other._img
         if a.__class__ is not b.__class__:
             return tuple(a) < tuple(b)

@@ -492,6 +492,7 @@ def relabelled(spec, seed):
         ("direct(C(253),S(3))", None, 256),
         ("direct(C(254),S(3))", None, 257),
         ("direct(S(3),C(254))", None, 5),
+        ("C(257)", None, 2),  # tuple rows on a one-point base: one-column slices
     ],
 )
 def test_class_table_numbering_matches_full_tuples(spec, seed, rows):

@@ -66,6 +66,27 @@ def test_every_imported_name_is_used(path):
     assert sorted(bound - used) == []
 
 
+CODEC_ATTRIBUTES = {"translate", "ljust", "maketrans"}
+
+
+def _codec_uses(path):
+    """The `bytes` names and the translate, ljust and maketrans attributes
+    that a module's source uses."""
+    return sorted(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.Name) and n.id == "bytes"
+        or isinstance(n, ast.Attribute) and n.attr in CODEC_ATTRIBUTES
+    )
+
+
+def test_bsgs_leaves_the_codec_to_perm():
+    """perm alone picks bytes or tuples for a raw or a row and composes them
+    in that codec; bsgs composes and reads rows through perm's primitives."""
+    assert _codec_uses(SRC / "bsgs.py") == []
+    assert _codec_uses(SRC / "perm.py") != []
+
+
 def test_an_unused_import_is_found(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from functools import reduce\nfrom operator import or_\n"

@@ -17,8 +17,11 @@ from solvrad.perm import (
     _identity,
     _inv,
     _mul,
+    _mul_rows,
     _power,
     _raw,
+    _reader,
+    _row,
 )
 
 
@@ -100,6 +103,29 @@ class TestCompose:
     def test_order_is_lexicographic_on_image_arrays(self, n, data):
         ps = [data.draw(perms_of(m)) for m in (n, n, 257, 2)]
         assert sorted(ps) == sorted(ps, key=lambda p: p.images)
+
+    # rows either side of the byte codec, and rows of one point
+    @pytest.mark.parametrize("n", [2, 65, 256, 300])
+    @pytest.mark.parametrize("width", [1, 3])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_row_primitives_match_raw_products(self, n, width, data):
+        raw_type = bytes if n <= 256 else tuple
+        a, b = (data.draw(perms_of(n))._img for _ in range(2))
+        ps, qs = [a, b, _mul(a, b)], [_inv(a), b]
+        point = st.integers(min_value=0, max_value=n - 1)
+        points = data.draw(st.lists(point, min_size=width, max_size=width))
+        assert type(_row(points, n)) is raw_type and list(_row(points, n)) == points
+        # _mul(p, q) by its definition, which also holds for rows of one point
+        rows = [_row([q[i] for i in points], n) for q in qs]
+        products = [_row([p[i] for i in q], n) for p in ps for q in rows]
+        assert list(_mul_rows(ps, rows)) == products
+        assert list(_mul_rows(ps, qs)) == [_mul(p, q) for p in ps for q in qs]
+        after = ps[0]
+        for e in qs:
+            assert _reader(points, n)(e) == _row([e[i] for i in points], n)
+            got = _reader(points, n, after)(e)
+            assert type(got) is raw_type and list(got) == [after[e[i]] for i in points]
 
     def test_degree_one_product_is_the_degree_raw(self):
         # the only permutation of degree 1 is the identity, a one-byte raw
@@ -219,6 +245,16 @@ class TestPermutationType:
     def test_not_a_bijection(self):
         with pytest.raises(ValueError):
             Permutation([1, 1, 3])
+
+    def test_degree_zero_is_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            Permutation([])
+
+    def test_order_against_a_non_permutation_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            P("(1,2)", 3) < 3
+        with pytest.raises(TypeError):
+            3 > P("(1,2)", 3)
 
     def test_images_are_one_based(self):
         p = P("(1,2)", 3)
