@@ -20,11 +20,11 @@ images of the few points that order the elements and key their conjugates,
 and build an element when it is read; class_of numbers one class in the
 walk that finds it.  Each generator's conjugation action is an array of
 numbers, and the class walks run on them, recording a class id, a parent
-and a generator per element instead of a conjugator.  Conjugators, and a centralizer's Schreier generators, are read
-from those arrays on demand: every centralizer reads the walk of its
-element's class, so no orbit is walked twice.  Centralizer-orbit
-representatives are produced lazily, as far as a scan reads them, and
-counted by Burnside's lemma (_OrbitReps).
+and a generator per element instead of a conjugator.  Conjugators, and a
+centralizer's Schreier generators, are read from those arrays on demand:
+every centralizer reads the walk of its element's class, so no orbit is
+walked twice.  Centralizer-orbit representatives are produced lazily, as
+far as a scan reads them, and counted by Burnside's lemma (_OrbitReps).
 """
 
 from __future__ import annotations

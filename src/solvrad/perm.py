@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import chain, repeat
-from operator import call, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 
@@ -68,7 +68,7 @@ def _mul_rows(ps: Sequence[Raw], rows) -> Iterator[Raw]:
             map(bytes.translate, rows, repeat(p.ljust(256, b"\0"))) for p in ps
         )
     getters = list(map(_getter, rows))
-    return chain.from_iterable(map(call, getters, repeat(p)) for p in ps)
+    return chain.from_iterable([get(p) for get in getters] for p in ps)
 
 
 def _reader(points: Sequence[int], degree: int, after: Raw | None = None) -> Callable:
